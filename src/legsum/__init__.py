@@ -36,10 +36,8 @@ from .ranges import (
     Valley,
     Violation,
     make_range,
-    stabilize,
 )
 from .sums import (
-    EquivClass,
     SumSpec,
     Summand,
     TupleClass,
@@ -49,7 +47,6 @@ from .sums import (
     iter_canonical_tuples,
     peaks_of_sum,
     relation_neighbors,
-    sum_invariants,
 )
 from .poset import (
     DichotomyVerdict,
@@ -57,7 +54,6 @@ from .poset import (
     NonsimpleReport,
     PosetNode,
     QuotientPoset,
-    TruncatedPoset,
     check_nmax_dichotomy,
     classify_nmax_point,
     detect_peaks,
@@ -94,7 +90,6 @@ from .simplicity import (
 )
 from .render import RenderSpec, render, render_ascii, render_svg
 from .documents import (
-    KnotDocument,
     catalog,
     dump_json,
     parse_inline_sum,

@@ -46,22 +46,22 @@ def _rows(*rows) -> str:
 # --- input resolution -------------------------------------------------------------
 
 
-def _resolve_knot(value: str) -> documents.KnotDocument:
-    """A knot argument is a document path or a catalog name."""
+def _resolve_knot(value: str) -> MountainRange:
+    """A knot argument is a document path or a catalog name; either way the range is valid."""
     p = Path(value)
     if p.exists():
         return documents.parse_knot_document(p.read_bytes(), source=str(p))
     cat = documents.catalog()
     if value in cat:
-        return documents.KnotDocument.from_range(cat[value])
+        return cat[value]
     raise LegsumError(f"{value!r} is neither a knot file nor a catalog name")
 
 
 def _registry(args) -> dict[str, MountainRange]:
     reg = documents.catalog()
     for path in getattr(args, "knot", None) or []:
-        doc = _resolve_knot(path)
-        reg[doc.name] = doc.to_range()
+        rng = _resolve_knot(path)
+        reg[rng.knot_id] = rng
     return reg
 
 
@@ -75,15 +75,17 @@ def _load_spec(args, parser: argparse.ArgumentParser) -> SumSpec:
     return documents.parse_inline_sum(args.spec, reg)
 
 
-def _single_knot(args, parser: argparse.ArgumentParser) -> documents.KnotDocument:
+def _knot_arg(args, parser: argparse.ArgumentParser) -> str:
     knots = args.knot or []
     if len(knots) != 1:
         parser.error("--knot must be given exactly once here")
-    return _resolve_knot(knots[0])
+    return knots[0]
 
 
-def _window_floor(args, spec: SumSpec) -> int:
-    return args.tb_min if args.tb_min is not None else spec.top_tb - args.depth
+def _window_floor(args, top_tb: int) -> int:
+    if args.depth < 0:
+        raise LegsumError(f"--depth must be non-negative, got {args.depth}")
+    return args.tb_min if args.tb_min is not None else top_tb - args.depth
 
 
 def _parse_endpoint(text: str, spec: SumSpec, flag: str):
@@ -103,12 +105,9 @@ def _parse_endpoint(text: str, spec: SumSpec, flag: str):
 
 
 def cmd_validate(args, parser) -> Result:
-    knots = args.knot or []
-    if len(knots) != 1:
-        parser.error("--knot must be given exactly once here")
-    value = knots[0]
+    value = _knot_arg(args, parser)
     try:
-        doc = _resolve_knot(value)
+        rng = _resolve_knot(value)
     except RangeInvalid as exc:
         payload = {
             "command": "validate",
@@ -118,9 +117,9 @@ def cmd_validate(args, parser) -> Result:
         }
         text = _rows(["valid", "false"], *(["violation", v.code, v.message] for v in exc.violations))
         return Result(payload, text, code=1)
-    report = doc.to_range().validate()
+    report = rng.validate()
     payload = {"command": "validate", "source": value, **to_jsonable(report)}
-    return Result(payload, _rows(["knot", doc.name], ["valid", "true"]))
+    return Result(payload, _rows(["knot", rng.knot_id], ["valid", "true"]))
 
 
 def cmd_peaks(args, parser) -> Result:
@@ -140,8 +139,7 @@ def cmd_peaks(args, parser) -> Result:
         rows = [["spec", spec.label()], ["count", len(pts)]]
         rows += [["peak", *t.invariants(), t.id_string()] for t in pts]
         return Result(payload, _rows(*rows))
-    doc = _single_knot(args, parser)
-    rng = doc.to_range().require_valid()
+    rng = _resolve_knot(_knot_arg(args, parser))
     payload = {
         "command": "peaks",
         "knot": rng.knot_id,
@@ -154,7 +152,7 @@ def cmd_peaks(args, parser) -> Result:
 def cmd_valleys(args, parser) -> Result:
     if args.spec:
         spec = _load_spec(args, parser)
-        poset = build_quotient(spec, _window_floor(args, spec))
+        poset = build_quotient(spec, _window_floor(args, spec.top_tb))
         vals = detect_valleys(poset)
         payload = {
             "command": "valleys",
@@ -164,8 +162,7 @@ def cmd_valleys(args, parser) -> Result:
         }
         rows = [["spec", spec.label()]] + [["valley", n.tb, n.r, n.key] for n in vals]
         return Result(payload, _rows(*rows))
-    doc = _single_knot(args, parser)
-    rng = doc.to_range().require_valid()
+    rng = _resolve_knot(_knot_arg(args, parser))
     vals = rng.valleys()
     payload = {
         "command": "valleys",
@@ -178,7 +175,7 @@ def cmd_valleys(args, parser) -> Result:
 
 def cmd_sum(args, parser) -> Result:
     spec = _load_spec(args, parser)
-    poset = build_quotient(spec, _window_floor(args, spec))
+    poset = build_quotient(spec, _window_floor(args, spec.top_tb))
     payload = {"command": "sum", "spec": spec.label(), **to_jsonable(poset)}
     rows = [
         ["spec", spec.label()],
@@ -201,11 +198,11 @@ def cmd_fiber(args, parser) -> Result:
         "spec": spec.label(),
         "point": [args.tb, args.r],
         "class_count": len(classes),
-        "classes": [to_jsonable(c) for c in classes],
+        "classes": [documents.class_obj(c) for c in classes],
     }
     rows = [["spec", spec.label()], ["point", args.tb, args.r], ["classes", len(classes)]]
     for i, c in enumerate(classes):
-        rows.append(["class", i, len(c.members), c.representative.id_string()])
+        rows.append(["class", i, c.size, c.representative.id_string()])
         rows += [["member", i, t.id_string()] for t in c.members]
     return Result(payload, _rows(*rows))
 
@@ -213,7 +210,7 @@ def cmd_fiber(args, parser) -> Result:
 def cmd_simple(args, parser) -> Result:
     spec = _load_spec(args, parser)
     cv = criterion(spec)
-    wv = simplicity_in_window(spec, _window_floor(args, spec))
+    wv = simplicity_in_window(spec, _window_floor(args, spec.top_tb))
     payload = {
         "command": "simple",
         "spec": spec.label(),
@@ -309,9 +306,11 @@ def cmd_path_search(args, parser) -> Result:
         parser.error("--start and --end are required here")
     start = _parse_endpoint(args.start, spec, "--start")
     end = _parse_endpoint(args.end, spec, "--end")
-    tb_min = _window_floor(args, spec)
+    tb_min = _window_floor(args, spec.top_tb)
     floor = min(spec.factor_floor(tb_min, s.knot_id) for s in spec.summands)
     max_len = args.max_len if args.max_len is not None else 24
+    if max_len < 0:
+        raise LegsumError(f"--max-len must be non-negative, got {max_len}")
     word = find_connecting_path(
         spec.ranges[0], spec.ranges[1], start[0], end[0], start[1], end[1], floor, max_len
     )
@@ -335,7 +334,7 @@ def cmd_path_search(args, parser) -> Result:
 
 def cmd_nmax(args, parser) -> Result:
     spec = _load_spec(args, parser)
-    poset = build_quotient(spec, _window_floor(args, spec))
+    poset = build_quotient(spec, _window_floor(args, spec.top_tb))
     report = nonsimple_report(poset)
     payload = {"command": "nmax", "spec": spec.label(), **to_jsonable(report)}
     rows = [["spec", spec.label()], ["tb_min", report.tb_min], ["simple", str(report.simple).lower()]]
@@ -347,7 +346,7 @@ def cmd_render(args, parser) -> Result:
     fmt = args.render or ASCII
     if args.spec:
         spec = _load_spec(args, parser)
-        tb_min = _window_floor(args, spec)
+        tb_min = _window_floor(args, spec.top_tb)
         if tb_min > spec.top_tb:
             figure = placeholder(fmt)
             label = spec.label()
@@ -358,9 +357,8 @@ def cmd_render(args, parser) -> Result:
             label = spec.label()
             points = len(poset.points())
     else:
-        doc = _single_knot(args, parser)
-        rng = doc.to_range().require_valid()
-        tb_min = args.tb_min if args.tb_min is not None else rng.top_tb - args.depth
+        rng = _resolve_knot(_knot_arg(args, parser))
+        tb_min = _window_floor(args, rng.top_tb)
         figure = render_figure(rng, RenderSpec(fmt, tb_min))
         label = rng.knot_id
         points = sum(len(rng.level_points(tb)) for tb in range(tb_min, rng.top_tb + 1))
@@ -459,11 +457,6 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(body)
     return result.code
-
-
-def run_command(argv) -> int:
-    """Programmatic entry point; same contract as the console script."""
-    return main(list(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,8 +13,8 @@ canonical form of the same content.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
@@ -28,7 +28,7 @@ from .simplicity import (
     WitnessPair,
     XYInvariants,
 )
-from .sums import EquivClass, SumSpec, TupleClass
+from .sums import SumSpec, TupleClass
 
 
 def dump_json(obj) -> str:
@@ -36,50 +36,30 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class KnotDocument:
-    """The on-disk form of a mountain range."""
-
-    name: str
-    prime: bool
-    genus: int | None
-    peaks: tuple[tuple[int, int], ...]
-
-    def to_range(self) -> MountainRange:
-        return MountainRange(self.name, tuple(self.peaks), self.genus, self.prime)
-
-    @classmethod
-    def from_range(cls, rng: MountainRange) -> "KnotDocument":
-        return cls(rng.knot_id, rng.prime, rng.genus, tuple((p.tb, p.r) for p in rng.peaks))
-
-    def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "prime": self.prime,
-            "genus": self.genus,
-            "peaks": [[tb, r] for tb, r in self.peaks],
-        }
-
-
-_KNOT_KEYS = {"name", "prime", "genus", "peaks"}
-
-
-def parse_knot_document(data: bytes | str, source: str = "<knot>") -> KnotDocument:
-    """Parse and fully validate one knot document.
-
-    Raises ParseError for broken JSON, SchemaError for shape problems
-    (including peaks out of r-order), and RangeInvalid when the shape is
-    fine but the range breaks a structural invariant.
-    """
+def _load_json(data: bytes | str, source: str):
+    """Decode UTF-8 bytes and parse JSON, reporting either failure as ParseError."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{source}: not UTF-8 text ({exc})") from exc
     try:
-        obj = json.loads(data)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+
+
+_KNOT_KEYS = {"name", "prime", "genus", "peaks"}
+
+
+def parse_knot_document(data: bytes | str, source: str = "<knot>") -> MountainRange:
+    """Parse and fully validate one knot document into its mountain range.
+
+    Raises ParseError for broken JSON, SchemaError for shape problems
+    (including peaks out of r-order), and RangeInvalid when the shape is
+    fine but the range breaks a structural invariant.
+    """
+    obj = _load_json(data, source)
     if not isinstance(obj, dict):
         raise SchemaError(f"{source}: top level must be an object")
     unknown = sorted(set(obj) - _KNOT_KEYS)
@@ -111,25 +91,25 @@ def parse_knot_document(data: bytes | str, source: str = "<knot>") -> KnotDocume
     for i in range(len(peaks) - 1):
         if peaks[i][1] >= peaks[i + 1][1]:
             raise SchemaError(f"{source}: peaks[{i + 1}] out of r-order")
-    doc = KnotDocument(name, prime, genus, tuple(peaks))
-    doc.to_range().require_valid()
-    return doc
+    return MountainRange(name, tuple(peaks), genus, prime).require_valid()
 
 
-def serialize_knot(doc: KnotDocument) -> str:
-    return dump_json(doc.to_obj())
+def serialize_knot(rng: MountainRange) -> str:
+    return dump_json(
+        {
+            "name": rng.knot_id,
+            "prime": rng.prime,
+            "genus": rng.genus,
+            "peaks": [[p.tb, p.r] for p in rng.peaks],
+        }
+    )
 
 
 def parse_sum_document(
     data: bytes | str, registry: Mapping[str, MountainRange], source: str = "<spec>"
 ) -> SumSpec:
     """Parse a sum spec document, resolving knot names via ``registry``."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    obj = _load_json(data, source)
     if not isinstance(obj, dict) or set(obj) != {"summands"}:
         raise SchemaError(f"{source}: top level must be an object with the single field 'summands'")
     raw = obj["summands"]
@@ -177,15 +157,20 @@ def serialize_sum(spec: SumSpec) -> str:
 # --- bundled catalog -----------------------------------------------------------------
 
 
-def catalog() -> dict[str, MountainRange]:
-    """The ranges shipped with the package, keyed by name."""
-    out: dict[str, MountainRange] = {}
+@functools.cache
+def _bundled_ranges() -> tuple[MountainRange, ...]:
+    """The bundled documents, parsed once per process."""
     root = resources.files("legsum") / "data"
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            doc = parse_knot_document(entry.read_bytes(), source=entry.name)
-            out[doc.name] = doc.to_range()
-    return out
+    return tuple(
+        parse_knot_document(entry.read_bytes(), source=entry.name)
+        for entry in sorted(root.iterdir(), key=lambda e: e.name)
+        if entry.name.endswith(".json")
+    )
+
+
+def catalog() -> dict[str, MountainRange]:
+    """The ranges shipped with the package, keyed by name; a new dict on every call."""
+    return {rng.knot_id: rng for rng in _bundled_ranges()}
 
 
 # --- JSON views of domain objects ------------------------------------------------------
@@ -197,6 +182,15 @@ def factor_obj(f: SimpleClass) -> list:
 
 def tuple_obj(t: TupleClass) -> dict:
     return {"id": t.id_string(), "factors": [factor_obj(f) for f in t.factors]}
+
+
+def class_obj(node: PosetNode) -> dict:
+    """The fiber view of one class: its representative tuple and member ids."""
+    return {
+        "representative": tuple_obj(node.representative),
+        "size": node.size,
+        "members": [t.id_string() for t in node.members],
+    }
 
 
 def to_jsonable(obj):
@@ -213,12 +207,6 @@ def to_jsonable(obj):
         return factor_obj(obj)
     if isinstance(obj, TupleClass):
         return tuple_obj(obj)
-    if isinstance(obj, EquivClass):
-        return {
-            "representative": tuple_obj(obj.representative),
-            "size": len(obj.members),
-            "members": [t.id_string() for t in obj.members],
-        }
     if isinstance(obj, PosetNode):
         return {
             "id": obj.key,

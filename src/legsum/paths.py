@@ -297,7 +297,7 @@ def find_connecting_path(
     frontier = deque([(init, 0)])
     while frontier:
         state, depth = frontier.popleft()
-        if depth == max_len:
+        if depth >= max_len:
             continue
         for letter, nxt in moves(state):
             if nxt in prev:

@@ -27,13 +27,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import WindowTooShallow
 from .ranges import NEG, POS, check_sign, r_step
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sums import SumSpec
 
 Point = tuple[int, int]
 
@@ -89,7 +86,6 @@ class QuotientPoset:
         edges: Iterable[Edge],
         tb_min: int,
         top_tb: int,
-        spec: "SumSpec | None" = None,
         top_is_global: bool = True,
     ) -> None:
         ordered = sorted(nodes, key=_node_order)
@@ -105,7 +101,6 @@ class QuotientPoset:
         )
         self.tb_min = tb_min
         self.top_tb = top_tb
-        self.spec = spec
         self.top_is_global = top_is_global
 
         self._children: dict[str, dict[str, list[str]]] = {k: {POS: [], NEG: []} for k in self._nodes}
@@ -182,10 +177,6 @@ class QuotientPoset:
             return tuple(self._parents[key][check_sign(sign)])
         seen = dict.fromkeys(self._parents[key][POS] + self._parents[key][NEG])
         return tuple(seen)
-
-
-# alias for the analysis-facing name: any truncated window, built or hand-made
-TruncatedPoset = QuotientPoset
 
 
 # --- structural checks ------------------------------------------------------------

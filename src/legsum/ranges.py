@@ -85,18 +85,14 @@ class SimpleClass:
         return (self.tb, self.r)
 
     def stabilized(self, sign: str) -> "SimpleClass":
+        """Apply one stabilization of the given sign.
+
+        Total on classes: stabilizations never leave the mountain range.
+        """
         return SimpleClass(self.knot_id, self.tb - 1, self.r + r_step(sign))
 
     def __str__(self) -> str:
         return f"{self.knot_id}({self.tb},{self.r})"
-
-
-def stabilize(cls: SimpleClass, sign: str) -> SimpleClass:
-    """Apply one stabilization of the given sign.
-
-    Total on classes: stabilizations never leave the mountain range.
-    """
-    return cls.stabilized(sign)
 
 
 @dataclass(frozen=True)

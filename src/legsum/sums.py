@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSummand, MultiplicityMismatch, WindowEmpty
 from .poset import Edge, PosetNode, QuotientPoset
-from .ranges import NEG, POS, MountainRange, SimpleClass, stabilize
+from .ranges import NEG, POS, MountainRange, SimpleClass
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,6 @@ class TupleClass:
         return self.id_string()
 
 
-def sum_invariants(t: TupleClass) -> tuple[int, int]:
-    """Summed invariants of a factor tuple: (sum tb + n - 1, sum r)."""
-    return t.invariants()
-
-
 def _factor_key(f: SimpleClass) -> tuple[int, int]:
     return (-f.tb, f.r)
 
@@ -191,7 +186,7 @@ def relation_neighbors(spec: SumSpec, t: TupleClass) -> set[TupleClass]:
                     continue
                 moved = list(fs)
                 moved[i] = parent
-                moved[j] = stabilize(fj, sign)
+                moved[j] = fj.stabilized(sign)
                 out.add(canonicalize_tuple(spec, moved))
     out.discard(t)
     return out
@@ -256,23 +251,12 @@ def iter_canonical_tuples(spec: SumSpec, factor_tb_sum: int) -> Iterator[TupleCl
 # --- equivalence classes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivClass:
-    """One equivalence class of tuples, members sorted, representative first."""
+def _partition(spec: SumSpec, tuples: Sequence[TupleClass]) -> list[PosetNode]:
+    """Union-find partition of one fiber under the relation moves.
 
-    members: tuple[TupleClass, ...]
-
-    @property
-    def representative(self) -> TupleClass:
-        return self.members[0]
-
-    @property
-    def point(self) -> tuple[int, int]:
-        return self.members[0].invariants()
-
-
-def _partition(spec: SumSpec, tuples: Sequence[TupleClass]) -> list[EquivClass]:
-    """Union-find partition of one fiber under the relation moves."""
+    Each class is a node keyed by its representative, its first member in
+    canonical order; nodes come in representative order.
+    """
     parent: dict[TupleClass, TupleClass] = {t: t for t in tuples}
 
     def find(x: TupleClass) -> TupleClass:
@@ -291,14 +275,16 @@ def _partition(spec: SumSpec, tuples: Sequence[TupleClass]) -> list[EquivClass]:
     groups: dict[TupleClass, list[TupleClass]] = {}
     for t in tuples:
         groups.setdefault(find(t), []).append(t)
-    classes = [
-        EquivClass(tuple(sorted(g, key=TupleClass.sort_key))) for g in groups.values()
-    ]
+    classes = []
+    for g in groups.values():
+        members = tuple(sorted(g, key=TupleClass.sort_key))
+        rep = members[0]
+        classes.append(PosetNode(rep.id_string(), *rep.invariants(), members=members))
     classes.sort(key=lambda c: c.representative.sort_key())
     return classes
 
 
-def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[EquivClass]:
+def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
     """All equivalence classes with summed invariants exactly (tb, r)."""
     tuples = [
         t
@@ -355,21 +341,15 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     else:
         parts = [_partition(spec, buckets[pt]) for pt in order]
 
-    nodes: list[PosetNode] = []
-    locate: dict[TupleClass, str] = {}
-    for pt, classes in zip(order, parts):
-        for c in classes:
-            key = c.representative.id_string()
-            nodes.append(PosetNode(key, pt[0], pt[1], members=c.members))
-            for t in c.members:
-                locate[t] = key
+    nodes = [node for classes in parts for node in classes]
+    locate = {t: node.key for node in nodes for t in node.members}
     edges: list[Edge] = []
     for node in nodes:
         if node.tb <= tb_min:
             continue
-        rep: TupleClass = node.members[0]
+        rep = node.representative
         for sign in (POS, NEG):
-            moved = (stabilize(rep.factors[0], sign),) + rep.factors[1:]
+            moved = (rep.factors[0].stabilized(sign),) + rep.factors[1:]
             child = canonicalize_tuple(spec, moved)
             edges.append(Edge(node.key, sign, locate[child]))
-    return QuotientPoset(nodes, edges, tb_min, top, spec=spec, top_is_global=True)
+    return QuotientPoset(nodes, edges, tb_min, top, top_is_global=True)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from legsum.cli import main, run_command
+from legsum.cli import main
 
 GOLDEN_A_ASCII = (
     "tb  0 |. ^ . ^ .|\n"
@@ -12,6 +12,62 @@ GOLDEN_A_ASCII = (
     "tb -2 |o o v o o|\n"
     "tb    +---------+\n"
     "       r = -4 .. 4\n"
+)
+
+GOLDEN_B2_FIBER_JSON = (
+    '{\n'
+    '  "class_count": 2,\n'
+    '  "classes": [\n'
+    '    {\n'
+    '      "members": [\n'
+    '        "B(0,-4)|B(0,4)"\n'
+    '      ],\n'
+    '      "representative": {\n'
+    '        "factors": [\n'
+    '          [\n'
+    '            "B",\n'
+    '            0,\n'
+    '            -4\n'
+    '          ],\n'
+    '          [\n'
+    '            "B",\n'
+    '            0,\n'
+    '            4\n'
+    '          ]\n'
+    '        ],\n'
+    '        "id": "B(0,-4)|B(0,4)"\n'
+    '      },\n'
+    '      "size": 1\n'
+    '    },\n'
+    '    {\n'
+    '      "members": [\n'
+    '        "B(0,0)|B(0,0)"\n'
+    '      ],\n'
+    '      "representative": {\n'
+    '        "factors": [\n'
+    '          [\n'
+    '            "B",\n'
+    '            0,\n'
+    '            0\n'
+    '          ],\n'
+    '          [\n'
+    '            "B",\n'
+    '            0,\n'
+    '            0\n'
+    '          ]\n'
+    '        ],\n'
+    '        "id": "B(0,0)|B(0,0)"\n'
+    '      },\n'
+    '      "size": 1\n'
+    '    }\n'
+    '  ],\n'
+    '  "command": "fiber",\n'
+    '  "point": [\n'
+    '    1,\n'
+    '    0\n'
+    '  ],\n'
+    '  "spec": "B^2"\n'
+    '}\n'
 )
 
 
@@ -48,6 +104,10 @@ def test_domain_errors_exit_1(capsys):
         ["canonical", "--spec", "A:1,B:1", "--tb", "0", "--r", "0"],  # needs one summand
         ["xy", "--spec", "A:2", "--tb", "1", "--r", "1"],  # parity mismatch
         ["sum", "--spec", "B:2", "--tb-min", "5"],  # window above the top level
+        ["render", "--spec", "B:2", "--depth", "-1"],  # negative depth
+        ["render", "--knot", "A", "--depth", "-1"],
+        ["path-search", "--spec", "A,B", "--start=-1,-3;0,-4", "--end=0,-2;-1,-5", "--depth=-3"],
+        ["path-search", "--spec", "A,B", "--start=-1,-3;0,-4", "--end=0,-2;-1,-5", "--max-len=-1"],
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 1, argv
@@ -55,8 +115,8 @@ def test_domain_errors_exit_1(capsys):
         assert out == "", argv
 
 
-def test_run_command_alias(capsys):
-    assert run_command(("validate", "--knot", "A")) == 0
+def test_main_accepts_argv_tuple(capsys):
+    assert main(("validate", "--knot", "A")) == 0
     capsys.readouterr()
 
 
@@ -87,6 +147,24 @@ def test_validate_file(capsys, tmp_path):
     rc, out, err = run(capsys, "validate", "--knot", str(p))
     assert (rc, err) == (0, "")
     assert "knot\tD" in out
+
+
+def test_validate_and_peaks_file_json_golden(capsys, tmp_path):
+    p = tmp_path / "d.json"
+    p.write_text('{"name": "D", "genus": 3, "peaks": [[0, -2], [0, 4]]}')
+    rc, out, err = run(capsys, "validate", "--knot", str(p), "--format", "json")
+    assert (rc, err) == (0, "")
+    assert out == (
+        '{\n  "command": "validate",\n  "knot": "D",\n'
+        f'  "source": {json.dumps(str(p))},\n'
+        '  "valid": true,\n  "violations": []\n}\n'
+    )
+    rc, out, err = run(capsys, "peaks", "--knot", str(p), "--format", "json")
+    assert (rc, err) == (0, "")
+    assert out == (
+        '{\n  "command": "peaks",\n  "knot": "D",\n  "peaks": [\n'
+        '    [\n      0,\n      -2\n    ],\n    [\n      0,\n      4\n    ]\n  ]\n}\n'
+    )
 
 
 def test_validate_invalid_document(capsys, tmp_path):
@@ -161,6 +239,12 @@ def test_fiber(capsys):
         "class\t0\t1\tB(0,-4)|B(0,4)\nmember\t0\tB(0,-4)|B(0,4)\n"
         "class\t1\t1\tB(0,0)|B(0,0)\nmember\t1\tB(0,0)|B(0,0)\n"
     )
+
+
+def test_fiber_json_golden(capsys):
+    rc, out, err = run(capsys, "fiber", "--spec", "B:2", "--tb", "1", "--r", "0", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert out == GOLDEN_B2_FIBER_JSON
 
 
 def test_fiber_empty_point(capsys):

@@ -7,8 +7,8 @@ import pytest
 
 import legsum as L
 from legsum.documents import (
-    KnotDocument,
     catalog,
+    class_obj,
     dump_json,
     factor_obj,
     parse_inline_sum,
@@ -38,11 +38,10 @@ def test_dump_json_canonical_form():
 
 
 def test_parse_knot_document_full():
-    doc = parse_knot_document(
+    rng = parse_knot_document(
         '{"name": "A", "prime": true, "genus": 2, "peaks": [[0, -2], [0, 2]]}'
     )
-    assert doc == KnotDocument("A", True, 2, ((0, -2), (0, 2)))
-    rng = doc.to_range()
+    assert rng == L.MountainRange("A", ((0, -2), (0, 2)), 2, True)
     assert rng.knot_id == "A"
     assert rng.genus == 2
     assert rng.prime is True
@@ -50,14 +49,14 @@ def test_parse_knot_document_full():
 
 
 def test_parse_knot_document_defaults():
-    doc = parse_knot_document('{"name": "X", "peaks": [[0, -2], [0, 2]]}')
-    assert doc.prime is True
-    assert doc.genus is None
+    rng = parse_knot_document('{"name": "X", "peaks": [[0, -2], [0, 2]]}')
+    assert rng.prime is True
+    assert rng.genus is None
 
 
 def test_parse_knot_document_accepts_bytes():
-    doc = parse_knot_document(b'{"name": "X", "peaks": [[1, 0]]}')
-    assert doc.name == "X"
+    rng = parse_knot_document(b'{"name": "X", "peaks": [[1, 0]]}')
+    assert rng.knot_id == "X"
 
 
 def test_round_trip_is_identity_on_catalog_files():
@@ -67,21 +66,19 @@ def test_round_trip_is_identity_on_catalog_files():
     assert len(files) == 5
     for path in files:
         raw = path.read_text()
-        doc = parse_knot_document(raw, source=path.name)
-        assert serialize_knot(doc) == raw
+        rng = parse_knot_document(raw, source=path.name)
+        assert serialize_knot(rng) == raw
 
 
 def test_round_trip_canonicalizes_noncanonical_input():
     # Same content, scrambled key order and whitespace.
     messy = '{"peaks":[[0,-2],[0,2]],"name":"A","genus":2,"prime":true}'
-    doc = parse_knot_document(messy)
-    assert serialize_knot(doc) == (DATA_DIR / "A.json").read_text()
+    rng = parse_knot_document(messy)
+    assert serialize_knot(rng) == (DATA_DIR / "A.json").read_text()
 
 
-def test_from_range_matches_parsed_document(A):
-    assert KnotDocument.from_range(A) == parse_knot_document(
-        (DATA_DIR / "A.json").read_bytes()
-    )
+def test_parsed_document_equals_catalog_range(A):
+    assert parse_knot_document((DATA_DIR / "A.json").read_bytes()) == A
 
 
 @pytest.mark.parametrize(
@@ -145,6 +142,7 @@ def test_parse_sum_document(cat, A, B):
 @pytest.mark.parametrize(
     "data, exc, needle",
     [
+        (b"\xff", ParseError, "not UTF-8"),
         ("{", ParseError, "line 1 col 2"),
         ('{"summands": [], "x": 1}', SchemaError, "single field 'summands'"),
         ("[]", SchemaError, "single field 'summands'"),
@@ -258,7 +256,7 @@ def test_jsonable_tuple_and_equiv_class(B):
         "factors": [["B", 0, -4], ["B", 0, 4]],
     }
     assert to_jsonable(t) == tuple_obj(t)
-    view = to_jsonable(classes[0])
+    view = class_obj(classes[0])
     assert view["representative"]["id"] == "B(0,-4)|B(0,4)"
     assert view["size"] == len(classes[0].members)
     assert view["members"][0] == "B(0,-4)|B(0,4)"

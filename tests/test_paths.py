@@ -234,6 +234,7 @@ def test_connecting_path_across_valley(A, C):
 def test_connecting_path_respects_bounds(A, C):
     args = (A, C, A.point(-1, -1), A.point(-1, 1), C.point(0, 1), C.point(0, -1))
     assert L.find_connecting_path(*args, tb_floor=-8, max_len=1) is None
+    assert L.find_connecting_path(*args, tb_floor=-8, max_len=-1) is None
     # the only route crosses the valley at (-2, 0); a floor of -1 blocks it
     assert L.find_connecting_path(*args, tb_floor=-1, max_len=24) is None
 

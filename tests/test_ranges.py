@@ -34,8 +34,8 @@ def valid_ranges(draw):
 
 def test_stabilize_moves():
     cls = L.SimpleClass("A", 0, 2)
-    assert L.stabilize(cls, "+") == L.SimpleClass("A", -1, 3)
-    assert L.stabilize(cls, "-") == L.SimpleClass("A", -1, 1)
+    assert cls.stabilized("+") == L.SimpleClass("A", -1, 3)
+    assert cls.stabilized("-") == L.SimpleClass("A", -1, 1)
     assert str(cls) == "A(0,2)"
 
 
@@ -48,7 +48,7 @@ def test_sign_helpers():
 
 @given(st.integers(-20, 20), st.integers(-20, 20), st.sampled_from(SIGNS))
 def test_stabilize_drops_tb_and_flips_r(tb, r, sign):
-    out = L.stabilize(L.SimpleClass("K", tb, r), sign)
+    out = L.SimpleClass("K", tb, r).stabilized(sign)
     assert out.tb == tb - 1
     assert abs(out.r - r) == 1
     assert (out.tb + out.r) % 2 == (tb + r) % 2
@@ -57,8 +57,8 @@ def test_stabilize_drops_tb_and_flips_r(tb, r, sign):
 @given(st.integers(-20, 20), st.integers(-20, 20))
 def test_stabilizations_commute(tb, r):
     cls = L.SimpleClass("K", tb, r)
-    one = L.stabilize(L.stabilize(cls, "+"), "-")
-    two = L.stabilize(L.stabilize(cls, "-"), "+")
+    one = cls.stabilized("+").stabilized("-")
+    two = cls.stabilized("-").stabilized("+")
     assert one == two == L.SimpleClass("K", tb - 2, r)
 
 
@@ -188,7 +188,7 @@ def test_membership_matches_bfs_oracle_random(rng, depth, r):
 def test_members_closed_under_stabilization(rng, depth, sign):
     tb = rng.top_tb - depth
     for r in rng.level_points(tb):
-        child = L.stabilize(rng.point(tb, r), sign)
+        child = rng.point(tb, r).stabilized(sign)
         assert rng.contains(child.tb, child.r)
 
 
@@ -216,7 +216,7 @@ def test_destabilize_inverts_stabilize(rng, depth, sign):
     tb = rng.top_tb - depth
     for r in rng.level_points(tb):
         cls = rng.point(tb, r)
-        child = L.stabilize(cls, sign)
+        child = cls.stabilized(sign)
         assert rng.destabilize(child, sign) == cls
 
 

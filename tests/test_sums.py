@@ -11,7 +11,7 @@ import legsum as L
 from oracles import bfs_members, fiber_signatures
 
 
-def fiber_as_signatures(classes: list[L.EquivClass]) -> set[frozenset[str]]:
+def fiber_as_signatures(classes: list[L.PosetNode]) -> set[frozenset[str]]:
     return {frozenset(m.id_string() for m in c.members) for c in classes}
 
 
@@ -72,9 +72,9 @@ def test_factor_floor(A, B, C):
 
 def test_sum_invariants_frozen(A, B, C):
     t = L.TupleClass((L.SimpleClass("B", -1, -3), L.SimpleClass("B", -1, 3)))
-    assert L.sum_invariants(t) == (-1, 0)
+    assert t.invariants() == (-1, 0)
     single = L.TupleClass((L.SimpleClass("C", 1, 0),))
-    assert L.sum_invariants(single) == (1, 0)
+    assert single.invariants() == (1, 0)
     triple = L.TupleClass(
         (
             L.SimpleClass("A", 0, -2),
@@ -82,13 +82,13 @@ def test_sum_invariants_frozen(A, B, C):
             L.SimpleClass("C", 1, 0),
         )
     )
-    assert L.sum_invariants(triple) == (3, 0)
+    assert triple.invariants() == (3, 0)
 
 
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=4))
 def test_sum_invariants_additive(pts):
     t = L.TupleClass(tuple(L.SimpleClass("K", tb, r) for tb, r in pts))
-    tb, r = L.sum_invariants(t)
+    tb, r = t.invariants()
     assert tb == sum(p[0] for p in pts) + len(pts) - 1
     assert r == sum(p[1] for p in pts)
 
@@ -270,7 +270,7 @@ def test_fibers_match_adjacent_generator_oracle(cat):
         for tb in range(spec.top_tb, spec.top_tb - depth - 1, -1):
             rs = sorted(
                 {
-                    L.sum_invariants(t)[1]
+                    t.invariants()[1]
                     for t in L.iter_canonical_tuples(spec, tb - (spec.n - 1))
                 }
             )
