@@ -438,22 +438,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result: Result = args.func(args, parser)
-    except LegsumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        body = dump_json(result.payload) if args.format == "json" else result.text
+        if args.out and result.figure is not None:
+            Path(args.out).write_bytes(result.figure)
+        elif args.out:
+            Path(args.out).write_text(body, encoding="utf-8")
+    except (LegsumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    body = dump_json(result.payload) if args.format == "json" else result.text
-    if result.figure is not None:
-        if args.out:
-            Path(args.out).write_bytes(result.figure)
+    if args.out:
+        if result.figure is not None:
             sys.stdout.write(body)
-        else:
-            sys.stdout.buffer.write(result.figure)
-    elif args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
+    elif result.figure is not None:
+        sys.stdout.buffer.write(result.figure)
     else:
         sys.stdout.write(body)
     return result.code

@@ -11,21 +11,25 @@ Both moves preserve the summed invariants
 
     tb = sum(tb_i) + (n - 1),        r = sum(r_i)
 
-so the quotient is graded by (tb, r).  This module enumerates canonical
-tuples, partitions them into equivalence classes with a union-find over the
-moves, and assembles truncated windows of the quotient poset.
+so the quotient is graded by (tb, r).  A class is fixed by which peaks its
+factors hang from and how many positive and negative stabilizations sit
+below them; two such peak multisets are joined where one peak's cone meets
+its neighbour's at a valley.  This module enumerates canonical tuples,
+labels each with the component of its peak-multiset generator, groups the
+tuples of one point by that label, and assembles truncated windows of the
+quotient poset.  :func:`relation_neighbors` states the moves themselves.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSummand, MultiplicityMismatch, WindowEmpty
 from .poset import Edge, PosetNode, QuotientPoset
-from .ranges import NEG, POS, MountainRange, SimpleClass
+from .ranges import NEG, POS, MountainRange, Peak, SimpleClass, _cone_coords, r_step
 
 
 @dataclass(frozen=True)
@@ -248,39 +252,116 @@ def iter_canonical_tuples(spec: SumSpec, factor_tb_sum: int) -> Iterator[TupleCl
         yield TupleClass(tuple(fs))
 
 
-# --- equivalence classes ----------------------------------------------------------
+# --- generator quotient --------------------------------------------------------------
 
 
-def _partition(spec: SumSpec, tuples: Sequence[TupleClass]) -> list[PosetNode]:
-    """Union-find partition of one fiber under the relation moves.
+Generator = tuple[int, ...]
 
-    Each class is a node keyed by its representative, its first member in
-    canonical order; nodes come in representative order.
+
+class _Generators:
+    """The peak-multiset generators of one spec, joined across valleys.
+
+    A generator ``(P, a, b)`` is ``S+^a S-^b`` applied to one sum of peaks:
+    ``P`` picks a multiset of peaks per summand, stored as one flat tuple of
+    copy counts with a slot per (summand, peak).  At a point (tb, r) the
+    counts (a, b) are the cone coordinates of the point below the summed peak
+    point of ``P``, so ``P`` alone names the generator there.  Moving one copy
+    of summand peak j to peak j + 1 crosses their valley, which the left peak
+    reaches by alpha positive steps and the right one by beta negative
+    steps; it joins ``(P, a, b)`` to ``(P', a - alpha, b + beta)`` when
+    ``a >= alpha``.  The classes at a point are the components of these
+    joins, computed once per point and cached; a point computed twice by
+    concurrent callers gets the same components both times.
     """
-    parent: dict[TupleClass, TupleClass] = {t: t for t in tuples}
 
-    def find(x: TupleClass) -> TupleClass:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    def __init__(self, spec: SumSpec) -> None:
+        self._width = sum(rng.peak_count for rng in spec.ranges)
+        self._slots: list[tuple[int, tuple[Peak, ...]]] = []  # per factor position
+        self._moves: list[tuple[int, int]] = []  # (slot of the left peak, alpha)
+        per_summand = []
+        offset = 0
+        for s, rng in zip(spec.summands, spec.ranges):
+            self._slots.extend([(offset, rng.peaks)] * s.count)
+            self._moves.extend(
+                (offset + v.left, v.r - rng.peaks[v.left].r) for v in rng.valleys()
+            )
+            per_summand.append([
+                tuple(combo.count(j) for j in range(rng.peak_count))
+                for combo in combinations_with_replacement(range(rng.peak_count), s.count)
+            ])
+            offset += rng.peak_count
+        peaks = [p for rng in spec.ranges for p in rng.peaks]
+        self._tops: list[tuple[Generator, Peak]] = []
+        for parts in product(*per_summand):
+            gen = sum(parts, ())
+            tb = sum(c * p.tb for c, p in zip(gen, peaks)) + spec.n - 1
+            r = sum(c * p.r for c, p in zip(gen, peaks))
+            self._tops.append((gen, Peak(tb, r)))
+        self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
 
+    def components(self, tb: int, r: int) -> dict[Generator, Generator]:
+        """Every generator at (tb, r), mapped to the root of its component."""
+        found = self._components.get((tb, r))
+        if found is not None:
+            return found
+        a_of: dict[Generator, int] = {}
+        for gen, top in self._tops:
+            ab = _cone_coords(top, tb, r)
+            if ab is not None:
+                a_of[gen] = ab[0]
+        parent = {gen: gen for gen in a_of}
+
+        def find(x: Generator) -> Generator:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for gen, a in a_of.items():
+            for k, alpha in self._moves:
+                if gen[k] and a >= alpha:
+                    moved = gen[:k] + (gen[k] - 1, gen[k + 1] + 1) + gen[k + 2:]
+                    ra, rb = find(gen), find(moved)
+                    if ra != rb:
+                        parent[ra] = rb
+        found = {gen: find(gen) for gen in a_of}
+        self._components[(tb, r)] = found
+        return found
+
+    def label(self, factors: Sequence[SimpleClass]) -> Generator:
+        """The generator of a factor tuple grouped in spec order.
+
+        Each factor counts towards the leftmost peak of its summand whose
+        cone holds it.
+        """
+        counts = [0] * self._width
+        for f, (offset, peaks) in zip(factors, self._slots):
+            for j, p in enumerate(peaks):
+                if _cone_coords(p, f.tb, f.r) is not None:
+                    counts[offset + j] += 1
+                    break
+        return tuple(counts)
+
+
+def _partition(
+    gens: _Generators, tb: int, r: int, tuples: Sequence[TupleClass]
+) -> list[tuple[Generator, PosetNode]]:
+    """The classes of one fiber, each with the root of its generator component.
+
+    Tuples whose generators share a component form one class.  Each class
+    is a node keyed by its representative, its first member in canonical
+    order; nodes come in representative order.
+    """
+    components = gens.components(tb, r)
+    groups: dict[Generator, list[TupleClass]] = {}
     for t in tuples:
-        for nb in relation_neighbors(spec, t):
-            ra, rb = find(t), find(nb)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[TupleClass, list[TupleClass]] = {}
-    for t in tuples:
-        groups.setdefault(find(t), []).append(t)
+        groups.setdefault(components[gens.label(t.factors)], []).append(t)
     classes = []
-    for g in groups.values():
+    for root, g in groups.items():
         members = tuple(sorted(g, key=TupleClass.sort_key))
         rep = members[0]
-        classes.append(PosetNode(rep.id_string(), *rep.invariants(), members=members))
-    classes.sort(key=lambda c: c.representative.sort_key())
+        classes.append((root, PosetNode(rep.id_string(), tb, r, members=members)))
+    classes.sort(key=lambda rc: rc[1].representative.sort_key())
     return classes
 
 
@@ -291,7 +372,7 @@ def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
         for t in iter_canonical_tuples(spec, tb - (spec.n - 1))
         if t.invariants()[1] == r
     ]
-    return _partition(spec, tuples)
+    return [node for _root, node in _partition(_Generators(spec), tb, r, tuples)]
 
 
 def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
@@ -321,10 +402,12 @@ def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
 def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPoset:
     """The window of the quotient poset from its top level down to tb_min.
 
-    Nodes are equivalence classes keyed by their representative; edges are
-    the signed stabilization steps between classes.  ``workers`` > 1 runs
-    the per-fiber partitioning on a thread pool; results are identical to
-    the serial order.
+    Nodes are the classes of every fiber, found by labelling each canonical
+    tuple with its generator component (see :class:`_Generators`); edges are
+    the signed stabilization steps between classes, led from each
+    representative to the class of its stabilized tuple.  ``workers`` > 1
+    runs the per-fiber partitioning on a thread pool; results are identical
+    to the serial order.
     """
     top = spec.top_tb
     if tb_min > top:
@@ -335,14 +418,19 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
         for t in iter_canonical_tuples(spec, tb - (n - 1)):
             buckets.setdefault(t.invariants(), []).append(t)
     order = sorted(buckets, key=lambda pt: (-pt[0], pt[1]))
+    gens = _Generators(spec)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda pt: _partition(spec, buckets[pt]), order))
+            parts = list(pool.map(lambda pt: _partition(gens, *pt, buckets[pt]), order))
     else:
-        parts = [_partition(spec, buckets[pt]) for pt in order]
+        parts = [_partition(gens, *pt, buckets[pt]) for pt in order]
 
-    nodes = [node for classes in parts for node in classes]
-    locate = {t: node.key for node in nodes for t in node.members}
+    nodes: list[PosetNode] = []
+    key_of: dict[tuple[tuple[int, int], Generator], str] = {}
+    for pt, classes in zip(order, parts):
+        for root, node in classes:
+            nodes.append(node)
+            key_of[pt, root] = node.key
     edges: list[Edge] = []
     for node in nodes:
         if node.tb <= tb_min:
@@ -350,6 +438,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
         rep = node.representative
         for sign in (POS, NEG):
             moved = (rep.factors[0].stabilized(sign),) + rep.factors[1:]
-            child = canonicalize_tuple(spec, moved)
-            edges.append(Edge(node.key, sign, locate[child]))
+            child = (node.tb - 1, node.r + r_step(sign))
+            root = gens.components(*child)[gens.label(moved)]
+            edges.append(Edge(node.key, sign, key_of[child, root]))
     return QuotientPoset(nodes, edges, tb_min, top, top_is_global=True)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 import legsum as L
 
@@ -62,3 +63,36 @@ def make_grid_specs(cat, max_n: int = 3) -> list[L.SumSpec]:
 @pytest.fixture(scope="session")
 def grid_specs(cat) -> list[L.SumSpec]:
     return make_grid_specs(cat)
+
+
+@st.composite
+def mountain_ranges(draw, knot_id: str = "K", max_peaks: int = 4) -> L.MountainRange:
+    """Valid mountain ranges with uneven peak heights and the tightest genus.
+
+    From a random first peak, each next peak lies alpha positive steps down
+    to its valley and beta negative steps back up, alpha and beta in 1..3,
+    so adjacent heights differ by beta - alpha.  The genus is the least
+    g >= 0 with tb + |r| <= 2g - 1 at every peak.
+    """
+    tb, r = draw(st.integers(-3, 1)), draw(st.integers(-5, 1))
+    peaks = [(tb, r)]
+    for _ in range(draw(st.integers(0, max_peaks - 1))):
+        alpha, beta = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        tb, r = tb - alpha + beta, r + alpha + beta
+        peaks.append((tb, r))
+    genus = max(0, max(-(-(t + abs(q) + 1) // 2) for t, q in peaks))
+    return L.make_range(knot_id, peaks, genus)
+
+
+@st.composite
+def random_sums(draw, min_n: int = 2, max_n: int = 3, max_peaks: int = 4) -> L.SumSpec:
+    """Sums of one or two random ranges with min_n..max_n factors in all."""
+    n = draw(st.integers(min_n, max_n))
+    first = draw(st.integers(1, n))
+    counts = [first] if first == n else [first, n - first]
+    return L.SumSpec.of(
+        [
+            (draw(mountain_ranges(knot_id, max_peaks)), count)
+            for knot_id, count in zip(("K", "L"), counts)
+        ]
+    )

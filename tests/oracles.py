@@ -9,13 +9,18 @@ algorithm than the library uses:
   adjacent-position generators (stabilization transfer between neighboring
   slots, transposition of neighboring equal-knot slots);
 * canonical forms via direct enumeration of every (a, b, p, q)
-  representation of a point.
+  representation of a point;
+* quotient windows via union-find over every canonical tuple under the
+  library's own relation moves (:func:`legsum.relation_neighbors`) instead
+  of the generator quotient.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+
+import legsum as L
 
 Point = tuple[int, int]
 
@@ -195,3 +200,55 @@ def all_window_points(peaks: list[Point], n: int, tb_min: int) -> set[Point]:
         if tb >= tb_min:
             pts.add((tb, sum(pt[1] for pt in combo)))
     return pts
+
+
+# --- quotient windows by union-find over the relation moves -----------------------
+
+
+def relation_partition(spec: L.SumSpec, tuples: list[L.TupleClass]) -> list[L.PosetNode]:
+    """Union-find partition of one fiber under the relation moves.
+
+    Each class is a node keyed by its representative, its first member in
+    canonical order; nodes come in representative order.
+    """
+    dsu = _DSU(tuples)
+    for t in tuples:
+        for nb in L.relation_neighbors(spec, t):
+            dsu.union(t, nb)
+    groups: dict[L.TupleClass, list[L.TupleClass]] = {}
+    for t in tuples:
+        groups.setdefault(dsu.find(t), []).append(t)
+    classes = []
+    for g in groups.values():
+        members = tuple(sorted(g, key=L.TupleClass.sort_key))
+        rep = members[0]
+        classes.append(L.PosetNode(rep.id_string(), *rep.invariants(), members=members))
+    classes.sort(key=lambda c: c.representative.sort_key())
+    return classes
+
+
+def relation_window(spec: L.SumSpec, tb_min: int) -> L.QuotientPoset:
+    """The window down to tb_min assembled from :func:`relation_partition`.
+
+    Edges lead from each representative to the class holding its first
+    factor stabilized, found by canonicalizing that tuple.
+    """
+    buckets: dict[Point, list[L.TupleClass]] = {}
+    for tb in range(spec.top_tb, tb_min - 1, -1):
+        for t in L.iter_canonical_tuples(spec, tb - (spec.n - 1)):
+            buckets.setdefault(t.invariants(), []).append(t)
+    nodes = [
+        node
+        for pt in sorted(buckets, key=lambda pt: (-pt[0], pt[1]))
+        for node in relation_partition(spec, buckets[pt])
+    ]
+    locate = {t: node.key for node in nodes for t in node.members}
+    edges = []
+    for node in nodes:
+        if node.tb <= tb_min:
+            continue
+        rep = node.representative
+        for sign in (L.POS, L.NEG):
+            moved = (rep.factors[0].stabilized(sign),) + rep.factors[1:]
+            edges.append(L.Edge(node.key, sign, locate[L.canonicalize_tuple(spec, moved)]))
+    return L.QuotientPoset(nodes, edges, tb_min, spec.top_tb, top_is_global=True)

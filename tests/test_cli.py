@@ -426,6 +426,19 @@ def test_out_writes_text_payload(capsys, tmp_path):
     assert target.read_text().startswith("spec\tU1^3\n")
 
 
+def test_out_into_missing_directory_exits_1(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    for argv in (
+        ["criterion", "--spec", "A", "--out", str(missing / "x.txt")],
+        ["render", "--spec", "A:2", "--depth", "2", "--render", "svg", "--out", str(missing / "x.svg")],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1, argv
+        assert err.startswith("error: "), argv
+        assert out == "", argv
+    assert not missing.exists()
+
+
 def test_knot_flag_registers_document(capsys, tmp_path):
     p = tmp_path / "d.json"
     p.write_text('{"name": "D", "genus": 3, "peaks": [[0, -2], [0, 4]]}')

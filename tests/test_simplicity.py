@@ -12,6 +12,7 @@ from legsum.simplicity import (
     CASE_TWO_PEAK,
 )
 
+from conftest import random_sums
 from oracles import form_representations
 
 
@@ -88,6 +89,18 @@ def witness_classes(spec: L.SumSpec, w: L.WitnessPair) -> tuple[int, int]:
     ib = [i for i, c in enumerate(classes) if w.tuple_b in c.members]
     assert len(ia) == 1 and len(ib) == 1
     return ia[0], ib[0]
+
+
+@given(random_sums())
+def test_criterion_matches_window_on_random_ranges(spec):
+    verdict = L.criterion(spec)
+    tb_min = spec.top_tb - 3
+    if not verdict.simple:
+        w = L.nonsimplicity_witness(spec)
+        ia, ib = witness_classes(spec, w)
+        assert ia != ib
+        tb_min = min(tb_min, w.point[0])
+    assert L.simplicity_in_window(spec, tb_min).simple_in_window == verdict.simple
 
 
 def test_witness_B2_valley_split_construction(B):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import legsum as L
 
-from oracles import bfs_members, fiber_signatures
+from conftest import random_sums
+from oracles import bfs_members, fiber_signatures, relation_window
 
 
 def fiber_as_signatures(classes: list[L.PosetNode]) -> set[frozenset[str]]:
@@ -374,3 +375,34 @@ def test_fiber_sizes_translation_invariant(A, B):
     sizes1 = sorted((n.tb, n.r, n.size) for n in p1)
     sizes2 = sorted((n.tb, n.r - 2, n.size) for n in p2)
     assert sizes1 == sizes2
+
+
+# --- generator quotient against the relation-move oracle ----------------------------------
+
+
+def window_parts(poset: L.QuotientPoset) -> tuple[list, tuple[L.Edge, ...]]:
+    return [(n.key, n.point, n.members) for n in poset], poset.edges
+
+
+def assert_matches_relation_oracle(spec: L.SumSpec, tb_min: int) -> None:
+    want = relation_window(spec, tb_min)
+    assert window_parts(L.build_quotient(spec, tb_min)) == window_parts(want), spec.label()
+    for pt in sorted({node.point for node in want}):
+        fiber = sorted(want.fiber(*pt), key=lambda c: c.representative.sort_key())
+        assert L.enumerate_fiber(spec, *pt) == fiber, (spec.label(), pt)
+
+
+def test_generator_quotient_matches_relation_oracle_on_grid(grid_specs):
+    for spec in grid_specs:
+        assert_matches_relation_oracle(spec, spec.top_tb - 5)
+
+
+def test_generator_quotient_matches_relation_oracle_on_powers(A, B):
+    for parts in ([(A, 4)], [(B, 4)], [(A, 2), (B, 2)]):
+        spec = L.SumSpec.of(parts)
+        assert_matches_relation_oracle(spec, spec.top_tb - 6)
+
+
+@given(random_sums(), st.integers(0, 4))
+def test_generator_quotient_matches_relation_oracle_on_random_ranges(spec, depth):
+    assert_matches_relation_oracle(spec, spec.top_tb - depth)
