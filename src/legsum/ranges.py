@@ -295,7 +295,7 @@ class MountainRange:
 
     def level_points(self, tb: int) -> list[int]:
         """All member r values at the given tb level, ascending."""
-        return list(_level_points(self, tb))
+        return list(_level_points(self.peaks, tb))
 
     # --- moves ------------------------------------------------------------------------
 
@@ -310,9 +310,10 @@ class MountainRange:
 
 
 @functools.lru_cache(maxsize=None)
-def _level_points(rng: MountainRange, tb: int) -> tuple[int, ...]:
+def _level_points(peaks: tuple[Peak, ...], tb: int) -> tuple[int, ...]:
+    """The r values at level tb of the union of the peaks' cones, ascending."""
     rs: set[int] = set()
-    for p in rng.peaks:
+    for p in peaks:
         depth = p.tb - tb
         if depth >= 0:
             rs.update(range(p.r - depth, p.r + depth + 1, 2))

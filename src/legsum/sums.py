@@ -14,14 +14,16 @@ Both moves preserve the summed invariants
 so the quotient is graded by (tb, r).  A class is fixed by which peaks its
 factors hang from and how many positive and negative stabilizations sit
 below them; two such peak multisets are joined where one peak's cone meets
-its neighbour's at a valley.  This module enumerates canonical tuples,
-labels each with the component of its peak-multiset generator, groups the
-tuples of one point by that label, and assembles truncated windows of the
-quotient poset.  :func:`relation_neighbors` states the moves themselves.
+its neighbour's at a valley.  Point by point, this module enumerates the
+canonical tuples, labels each with the component of its peak-multiset
+generator and groups them by that label into the point's fiber; windows of
+the quotient poset are assembled from those fibers.
+:func:`relation_neighbors` states the moves themselves.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
@@ -29,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSummand, MultiplicityMismatch, WindowEmpty
 from .poset import Edge, PosetNode, QuotientPoset
-from .ranges import NEG, POS, MountainRange, Peak, SimpleClass, _cone_coords, r_step
+from .ranges import NEG, POS, MountainRange, Peak, SimpleClass, _cone_coords, _level_points, r_step
 
 
 @dataclass(frozen=True)
@@ -199,57 +201,12 @@ def relation_neighbors(spec: SumSpec, t: TupleClass) -> set[TupleClass]:
 # --- canonical tuple enumeration -----------------------------------------------
 
 
-def _iter_group(rng: MountainRange, count: int, tb_sum: int) -> Iterator[tuple[SimpleClass, ...]]:
-    """Canonically ordered factor groups of one summand with the given tb sum.
-
-    Factors are non-increasing in (tb, -r); within the recursion each factor
-    tb is at least ceil(budget / remaining) because later factors cannot
-    exceed it.
-    """
-    top = rng.top_tb
-
-    def rec(m: int, budget: int, prev: tuple[int, int] | None) -> Iterator[list[SimpleClass]]:
-        if m == 0:
-            if budget == 0:
-                yield []
-            return
-        hi = min(top, prev[0]) if prev else top
-        lo = -(-budget // m)
-        for tb in range(hi, lo - 1, -1):
-            for r in rng.level_points(tb):
-                if prev and tb == prev[0] and r < prev[1]:
-                    continue
-                head = SimpleClass(rng.knot_id, tb, r)
-                for tail in rec(m - 1, budget - tb, (tb, r)):
-                    yield [head] + tail
-
-    for grp in rec(count, tb_sum, None):
-        yield tuple(grp)
-
-
 def iter_canonical_tuples(spec: SumSpec, factor_tb_sum: int) -> Iterator[TupleClass]:
-    """All canonical tuples whose factor tb values sum to the given total."""
-    groups = [(rng, s.count) for rng, s in zip(spec.ranges, spec.summands)]
-    gmax = [count * rng.top_tb for rng, count in groups]
-    suffix = [0] * (len(groups) + 1)
-    for i in range(len(groups) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + gmax[i]
-
-    def rec(gi: int, remaining: int) -> Iterator[list[SimpleClass]]:
-        rng, count = groups[gi]
-        if gi == len(groups) - 1:
-            for grp in _iter_group(rng, count, remaining):
-                yield list(grp)
-            return
-        lo = remaining - suffix[gi + 1]
-        for s in range(gmax[gi], lo - 1, -1):
-            for grp in _iter_group(rng, count, s):
-                head = list(grp)
-                for tail in rec(gi + 1, remaining - s):
-                    yield head + tail
-
-    for fs in rec(0, factor_tb_sum):
-        yield TupleClass(tuple(fs))
+    """All canonical tuples whose factor tb values sum to the given total, point by point."""
+    tb = factor_tb_sum + spec.n - 1
+    gens = _Generators(spec)
+    for r in gens.level_points(tb):
+        yield from gens.tuples(tb, r)
 
 
 # --- generator quotient --------------------------------------------------------------
@@ -271,17 +228,27 @@ class _Generators:
     steps; it joins ``(P, a, b)`` to ``(P', a - alpha, b + beta)`` when
     ``a >= alpha``.  The classes at a point are the components of these
     joins, computed once per point and cached; a point computed twice by
-    concurrent callers gets the same components both times.
+    concurrent callers gets the same components both times.  The canonical
+    tuples of a point come from :meth:`tuples`.
     """
 
     def __init__(self, spec: SumSpec) -> None:
         self._width = sum(rng.peak_count for rng in spec.ranges)
-        self._slots: list[tuple[int, tuple[Peak, ...]]] = []  # per factor position
-        self._moves: list[tuple[int, int]] = []  # (slot of the left peak, alpha)
+        # Per factor position: its range, the index of its first peak in a
+        # generator, its top, and the bounds :meth:`tuples` enumerates within.
+        self._slots: list[tuple[MountainRange, int, int, bool, int, int, int, int]] = []
+        self._moves: list[tuple[int, int]] = []  # (index of the left peak, alpha)
         per_summand = []
         offset = 0
+        other_top = spec.top_tb - (spec.n - 1)
+        r_hi = sum(s.count * max(p.r + p.tb for p in rng.peaks) for s, rng in zip(spec.summands, spec.ranges))
+        r_lo = sum(s.count * min(p.r - p.tb for p in rng.peaks) for s, rng in zip(spec.summands, spec.ranges))
         for s, rng in zip(spec.summands, spec.ranges):
-            self._slots.extend([(offset, rng.peaks)] * s.count)
+            other_top -= s.count * rng.top_tb
+            for k in range(s.count):
+                r_hi -= max(p.r + p.tb for p in rng.peaks)
+                r_lo -= min(p.r - p.tb for p in rng.peaks)
+                self._slots.append((rng, offset, rng.top_tb, k > 0, s.count - 1 - k, other_top, r_hi, r_lo))
             self._moves.extend(
                 (offset + v.left, v.r - rng.peaks[v.left].r) for v in rng.valleys()
             )
@@ -297,7 +264,12 @@ class _Generators:
             tb = sum(c * p.tb for c, p in zip(gen, peaks)) + spec.n - 1
             r = sum(c * p.r for c, p in zip(gen, peaks))
             self._tops.append((gen, Peak(tb, r)))
+        self._top_points = tuple(top for _gen, top in self._tops)
         self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
+
+    def level_points(self, tb: int) -> tuple[int, ...]:
+        """The r values of the sum's points at level tb: the cone slices of the generator tops."""
+        return _level_points(self._top_points, tb)
 
     def components(self, tb: int, r: int) -> dict[Generator, Generator]:
         """Every generator at (tb, r), mapped to the root of its component."""
@@ -335,44 +307,72 @@ class _Generators:
         cone holds it.
         """
         counts = [0] * self._width
-        for f, (offset, peaks) in zip(factors, self._slots):
-            for j, p in enumerate(peaks):
+        for f, slot in zip(factors, self._slots):
+            for j, p in enumerate(slot[0].peaks):
                 if _cone_coords(p, f.tb, f.r) is not None:
-                    counts[offset + j] += 1
+                    counts[slot[1] + j] += 1
                     break
         return tuple(counts)
 
+    def tuples(self, tb: int, r: int) -> Iterator[TupleClass]:
+        """The canonical tuples at exactly (tb, r), in :meth:`TupleClass.sort_key` order.
 
-def _partition(
-    gens: _Generators, tb: int, r: int, tuples: Sequence[TupleClass]
-) -> list[tuple[Generator, PosetNode]]:
+        Factor positions are filled left to right, each over tb descending
+        and r ascending, and the last is solved from what remains of (tb, r).
+        A position's tb is at least what its later positions cannot absorb:
+        those of other summands reach at most their summed tops
+        (``other_top``), the ``same`` later ones of its own summand at most
+        its tb.  Its r leaves a remainder the later positions reach: at their
+        factor tb sum t, from ``r_lo + t`` to ``r_hi - t``, where ``r_lo``
+        and ``r_hi`` sum ``min(p.r - p.tb)`` and ``max(p.r + p.tb)``.
+        """
+        factors: list[SimpleClass] = []
+
+        def rec(i: int, t: int, q: int) -> Iterator[TupleClass]:
+            rng, _offset, top, follows, same, other_top, r_hi, r_lo = self._slots[i]
+            prev = factors[-1] if follows else None
+            cap = prev.tb if prev else top
+            if i == len(self._slots) - 1:
+                if (not prev or t < cap or t == cap and q >= prev.r) and rng.contains(t, q):
+                    yield TupleClass(tuple(factors) + (SimpleClass(rng.knot_id, t, q),))
+                return
+            for tb_i in range(cap, -(-(t - other_top) // (same + 1)) - 1, -1):
+                rest = t - tb_i
+                level = _level_points(rng.peaks, tb_i)
+                r_min = q - r_hi + rest
+                if prev and tb_i == cap:
+                    r_min = max(r_min, prev.r)
+                for r_i in level[bisect_left(level, r_min):bisect_right(level, q - r_lo - rest)]:
+                    factors.append(SimpleClass(rng.knot_id, tb_i, r_i))
+                    yield from rec(i + 1, rest, q - r_i)
+                    factors.pop()
+
+        return rec(0, tb - (len(self._slots) - 1), r)
+
+
+def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator, PosetNode]]:
     """The classes of one fiber, each with the root of its generator component.
 
-    Tuples whose generators share a component form one class.  Each class
-    is a node keyed by its representative, its first member in canonical
-    order; nodes come in representative order.
+    Tuples whose generators share a component form one class.  Each class is
+    a node keyed by its representative, its first member in the canonical
+    order :meth:`_Generators.tuples` yields; nodes come in representative order.
     """
     components = gens.components(tb, r)
     groups: dict[Generator, list[TupleClass]] = {}
-    for t in tuples:
+    for t in gens.tuples(tb, r):
         groups.setdefault(components[gens.label(t.factors)], []).append(t)
-    classes = []
-    for root, g in groups.items():
-        members = tuple(sorted(g, key=TupleClass.sort_key))
-        rep = members[0]
-        classes.append((root, PosetNode(rep.id_string(), tb, r, members=members)))
-    classes.sort(key=lambda rc: rc[1].representative.sort_key())
-    return classes
+    return [
+        (root, PosetNode(g[0].id_string(), tb, r, members=tuple(g)))
+        for root, g in groups.items()
+    ]
 
 
 def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
-    """All equivalence classes with summed invariants exactly (tb, r)."""
-    tuples = [
-        t
-        for t in iter_canonical_tuples(spec, tb - (spec.n - 1))
-        if t.invariants()[1] == r
-    ]
-    return [node for _root, node in _partition(_Generators(spec), tb, r, tuples)]
+    """All equivalence classes with summed invariants exactly (tb, r).
+
+    Only the tuples of this one point are enumerated.
+    """
+    return [node for _root, node in _partition(_Generators(spec), tb, r)]
 
 
 def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
@@ -402,28 +402,23 @@ def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
 def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPoset:
     """The window of the quotient poset from its top level down to tb_min.
 
-    Nodes are the classes of every fiber, found by labelling each canonical
-    tuple with its generator component (see :class:`_Generators`); edges are
-    the signed stabilization steps between classes, led from each
-    representative to the class of its stabilized tuple.  ``workers`` > 1
-    runs the per-fiber partitioning on a thread pool; results are identical
-    to the serial order.
+    Nodes are the classes of every fiber, found point by point by labelling
+    each canonical tuple of the point with its generator component (see
+    :class:`_Generators`); edges are the signed stabilization steps between
+    classes, led from each representative to the class of its stabilized
+    tuple.  ``workers`` > 1 runs the per-point partitioning on a thread pool;
+    results are identical to the serial order.
     """
     top = spec.top_tb
     if tb_min > top:
         raise WindowEmpty(f"window floor {tb_min} lies above the top level {top}")
-    n = spec.n
-    buckets: dict[tuple[int, int], list[TupleClass]] = {}
-    for tb in range(top, tb_min - 1, -1):
-        for t in iter_canonical_tuples(spec, tb - (n - 1)):
-            buckets.setdefault(t.invariants(), []).append(t)
-    order = sorted(buckets, key=lambda pt: (-pt[0], pt[1]))
     gens = _Generators(spec)
+    order = [(tb, r) for tb in range(top, tb_min - 1, -1) for r in gens.level_points(tb)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda pt: _partition(gens, *pt, buckets[pt]), order))
+            parts = list(pool.map(lambda pt: _partition(gens, *pt), order))
     else:
-        parts = [_partition(gens, *pt, buckets[pt]) for pt in order]
+        parts = [_partition(gens, *pt) for pt in order]
 
     nodes: list[PosetNode] = []
     key_of: dict[tuple[tuple[int, int], Generator], str] = {}

@@ -212,6 +212,17 @@ def test_iter_canonical_tuples_matches_brute_force(A, B, C):
             )
 
 
+@given(random_sums(), st.integers(0, 4))
+def test_iter_canonical_tuples_matches_brute_force_on_random_ranges(spec, depth):
+    budget = spec.top_tb - depth - (spec.n - 1)
+    got = list(L.iter_canonical_tuples(spec, budget))
+    assert len(got) == len(set(got)), "duplicates yielded"
+    for t in got:
+        assert L.canonicalize_tuple(spec, t.factors) == t
+        assert sum(f.tb for f in t.factors) == budget
+    assert set(got) == brute_canonical_tuples(spec, budget)
+
+
 # --- fibers ----------------------------------------------------------------------------
 
 
@@ -255,6 +266,7 @@ def test_fiber_empty_point(A):
     spec = L.SumSpec.of([(A, 2)])
     assert L.enumerate_fiber(spec, 1, 1) == []  # wrong parity
     assert L.enumerate_fiber(spec, 2, 0) == []  # above the top
+    assert L.enumerate_fiber(spec, 1, -2) == []  # between the top generators' cones
 
 
 def test_fibers_match_adjacent_generator_oracle(cat):
