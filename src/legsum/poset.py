@@ -4,8 +4,8 @@ A connected-sum quotient is an infinite graded poset: classes graded by tb,
 with one positive and one negative stabilization edge leaving every class.
 We only ever materialize a window of it, from the top tb level down to a
 floor ``tb_min``.  :class:`QuotientPoset` is that window: nodes carry a
-deterministic key, a (tb, r) point, and optionally the member tuples of the
-class they stand for.
+deterministic key, a (tb, r) point, and optionally the representative and
+member tuples of the class they stand for, members expanded on first use.
 
 Analysis layer:
 
@@ -26,8 +26,8 @@ that would need rows above a non-global top raise
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Callable, Iterable, Iterator
 
 from .errors import WindowTooShallow
 from .ranges import NEG, POS, check_sign, r_step
@@ -35,18 +35,52 @@ from .ranges import NEG, POS, check_sign, r_step
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class PosetNode:
-    """One equivalence class in the window.
+    """One equivalence class in the window: an immutable value.
 
     ``members`` holds the canonical tuples of the class, representative
-    first; hand-built fixture nodes leave it empty.
+    first; hand-built fixture nodes leave it empty.  Nodes of a built window
+    know their ``representative`` from the start and expand ``members`` on
+    first access (see :meth:`_lazy`), so outputs that never list members
+    never enumerate them.  Equality and repr read the members, expanding
+    them if need be; the hash does not.
     """
 
-    key: str
-    tb: int
-    r: int
-    members: tuple = ()
+    __slots__ = ("key", "tb", "r", "representative", "_members", "_expand")
+
+    def __init__(self, key: str, tb: int, r: int, members: tuple = ()) -> None:
+        self._fill(key, tb, r, members[0] if members else None, members, None)
+
+    @classmethod
+    def _lazy(cls, key: str, tb: int, r: int, representative, expand: Callable[[], tuple]) -> "PosetNode":
+        """A node whose members ``expand()`` returns, called on first access only."""
+        node = object.__new__(cls)
+        node._fill(key, tb, r, representative, None, expand)
+        return node
+
+    def _fill(self, *values) -> None:
+        """Set the slots, in ``__slots__`` order, past the frozen ``__setattr__``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def members(self) -> tuple:
+        # Read the expander before the members and drop it after storing
+        # them, so a concurrent first access sees one or the other, and an
+        # expanded node no longer keeps its builder's tables alive.
+        expand = self._expand
+        members = self._members
+        if members is None:
+            members = expand()
+            object.__setattr__(self, "_members", members)
+            object.__setattr__(self, "_expand", None)
+        return members
 
     @property
     def point(self) -> Point:
@@ -57,9 +91,19 @@ class PosetNode:
         """Member-tuple count (0 for fixture nodes without members)."""
         return len(self.members)
 
-    @property
-    def representative(self):
-        return self.members[0] if self.members else None
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.key, self.tb, self.r) == (other.key, other.tb, other.r) and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.key, self.tb, self.r))
+
+    def __repr__(self) -> str:
+        return f"PosetNode(key={self.key!r}, tb={self.tb!r}, r={self.r!r}, members={self.members!r})"
+
+    def __reduce__(self):
+        return (PosetNode, (self.key, self.tb, self.r, self.members))
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,8 @@ class MountainRange:
             for p in self.peaks
         )
         object.__setattr__(self, "peaks", coerced)
+        # The (tb, r) pairs as plain ints: the key of the level-slice cache.
+        object.__setattr__(self, "_peak_points", tuple((p.tb, p.r) for p in coerced))
 
     # --- basic shape ---------------------------------------------------------
 
@@ -295,7 +297,7 @@ class MountainRange:
 
     def level_points(self, tb: int) -> list[int]:
         """All member r values at the given tb level, ascending."""
-        return list(_level_points(self.peaks, tb))
+        return list(_level_points(self._peak_points, tb))
 
     # --- moves ------------------------------------------------------------------------
 
@@ -310,13 +312,16 @@ class MountainRange:
 
 
 @functools.lru_cache(maxsize=None)
-def _level_points(peaks: tuple[Peak, ...], tb: int) -> tuple[int, ...]:
-    """The r values at level tb of the union of the peaks' cones, ascending."""
+def _level_points(peaks: tuple[tuple[int, int], ...], tb: int) -> tuple[int, ...]:
+    """The r values at level tb of the union of the cones below the (tb, r) peaks, ascending.
+
+    Keyed on plain int pairs, so a cache hit hashes and compares in C.
+    """
     rs: set[int] = set()
-    for p in peaks:
-        depth = p.tb - tb
+    for p_tb, p_r in peaks:
+        depth = p_tb - tb
         if depth >= 0:
-            rs.update(range(p.r - depth, p.r + depth + 1, 2))
+            rs.update(range(p_r - depth, p_r + depth + 1, 2))
     return tuple(sorted(rs))
 
 

@@ -102,7 +102,7 @@ def simplicity_in_window(spec: SumSpec, tb_min: int, workers: int = 0) -> Window
         return WindowVerdict(True, tb_min, poset.top_tb, None)
     pt = candidates[0]
     first, second = poset.fiber(*pt)[:2]
-    witness = WitnessPair(pt, first.members[0], second.members[0])
+    witness = WitnessPair(pt, first.representative, second.representative)
     return WindowVerdict(False, tb_min, poset.top_tb, witness)
 
 

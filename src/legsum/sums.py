@@ -14,15 +14,20 @@ Both moves preserve the summed invariants
 so the quotient is graded by (tb, r).  A class is fixed by which peaks its
 factors hang from and how many positive and negative stabilizations sit
 below them; two such peak multisets are joined where one peak's cone meets
-its neighbour's at a valley.  Point by point, this module enumerates the
-canonical tuples, labels each with the component of its peak-multiset
-generator and groups them by that label into the point's fiber; windows of
-the quotient poset are assembled from those fibers.
-:func:`relation_neighbors` states the moves themselves.
+its neighbour's at a valley.  Point by point, this module walks the
+canonical tuples in canonical order, labelling each with the component of
+its peak-multiset generator, and stops once every component has its first
+tuple: that tuple is the class's representative and names its node.
+Windows of the quotient poset are assembled from those nodes, with edges
+led from the representatives.  A class's members are enumerated only when
+first read, in one pass over its point shared by all classes there, so only
+outputs that list members pay for them.  :func:`relation_neighbors` states
+the moves themselves.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -264,7 +269,7 @@ class _Generators:
             tb = sum(c * p.tb for c, p in zip(gen, peaks)) + spec.n - 1
             r = sum(c * p.r for c, p in zip(gen, peaks))
             self._tops.append((gen, Peak(tb, r)))
-        self._top_points = tuple(top for _gen, top in self._tops)
+        self._top_points = tuple((top.tb, top.r) for _gen, top in self._tops)
         self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
 
     def level_points(self, tb: int) -> tuple[int, ...]:
@@ -314,6 +319,20 @@ class _Generators:
                     break
         return tuple(counts)
 
+    def members(self, tb: int, r: int) -> dict[Generator, tuple[TupleClass, ...]]:
+        """The canonical tuples at (tb, r) grouped by component root, in canonical order.
+
+        One pass over the point; a one-class point labels no tuple.
+        """
+        components = self.components(tb, r)
+        roots = set(components.values())
+        if len(roots) == 1:
+            return {roots.pop(): tuple(self.tuples(tb, r))}
+        groups: dict[Generator, list[TupleClass]] = {}
+        for t in self.tuples(tb, r):
+            groups.setdefault(components[self.label(t.factors)], []).append(t)
+        return {root: tuple(g) for root, g in groups.items()}
+
     def tuples(self, tb: int, r: int) -> Iterator[TupleClass]:
         """The canonical tuples at exactly (tb, r), in :meth:`TupleClass.sort_key` order.
 
@@ -338,7 +357,7 @@ class _Generators:
                 return
             for tb_i in range(cap, -(-(t - other_top) // (same + 1)) - 1, -1):
                 rest = t - tb_i
-                level = _level_points(rng.peaks, tb_i)
+                level = _level_points(rng._peak_points, tb_i)
                 r_min = q - r_hi + rest
                 if prev and tb_i == cap:
                     r_min = max(r_min, prev.r)
@@ -354,23 +373,35 @@ def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator, Pose
     """The classes of one fiber, each with the root of its generator component.
 
     Tuples whose generators share a component form one class.  Each class is
-    a node keyed by its representative, its first member in the canonical
-    order :meth:`_Generators.tuples` yields; nodes come in representative order.
+    a node keyed by its representative, its first tuple in the canonical
+    order :meth:`_Generators.tuples` yields; nodes come in representative
+    order.  The walk stops as soon as every component of the point has its
+    representative, so a one-class point takes its first tuple and labels
+    none.  Members expand on first access, from one pass over the point
+    shared by all its classes (:meth:`_Generators.members`).
     """
     components = gens.components(tb, r)
-    groups: dict[Generator, list[TupleClass]] = {}
+    roots = set(components.values())
+    reps: dict[Generator, TupleClass] = {}
     for t in gens.tuples(tb, r):
-        groups.setdefault(components[gens.label(t.factors)], []).append(t)
+        if len(roots) == 1:
+            reps = {roots.pop(): t}
+            break
+        reps.setdefault(components[gens.label(t.factors)], t)
+        if len(reps) == len(roots):
+            break
+    point = functools.cache(lambda: gens.members(tb, r))
     return [
-        (root, PosetNode(g[0].id_string(), tb, r, members=tuple(g)))
-        for root, g in groups.items()
+        (root, PosetNode._lazy(t.id_string(), tb, r, t, lambda root=root: point()[root]))
+        for root, t in reps.items()
     ]
 
 
 def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
     """All equivalence classes with summed invariants exactly (tb, r).
 
-    Only the tuples of this one point are enumerated.
+    Only the tuples of this one point are walked, and each class's members
+    only when first read.
     """
     return [node for _root, node in _partition(_Generators(spec), tb, r)]
 
@@ -403,11 +434,12 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     """The window of the quotient poset from its top level down to tb_min.
 
     Nodes are the classes of every fiber, found point by point by labelling
-    each canonical tuple of the point with its generator component (see
-    :class:`_Generators`); edges are the signed stabilization steps between
-    classes, led from each representative to the class of its stabilized
-    tuple.  ``workers`` > 1 runs the per-point partitioning on a thread pool;
-    results are identical to the serial order.
+    a canonical prefix of the point's tuples with their generator components
+    until every component has its representative (see :func:`_partition`);
+    their members are expanded only when read.  Edges are the signed
+    stabilization steps between classes, led from each representative to
+    the class of its stabilized tuple.  ``workers`` > 1 runs the per-point
+    partitioning on a thread pool; results are identical to the serial order.
     """
     top = spec.top_tb
     if tb_min > top:

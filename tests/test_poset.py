@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
+import threading
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 import legsum as L
@@ -177,3 +183,69 @@ def test_nonsimple_report(cat, b2_window):
     rep2 = L.nonsimple_report(a2)
     assert rep2.simple
     assert rep2.nonsimple == () and rep2.nmax == ()
+
+
+# --- node values ---------------------------------------------------------------------------
+
+
+def test_node_value_semantics(cat):
+    spec = L.SumSpec.of([(cat["A"], 1), (cat["B"], 1)])
+    one, two = (L.build_quotient(spec, spec.top_tb - 4) for _ in range(2))
+    assert [hash(n) for n in one] == [hash(n) for n in two]
+    assert list(one) == list(two) and set(one) == set(two)
+    for node in one:
+        assert node.size == len(node.members) >= 1
+        assert node.representative == node.members[0]
+        same = L.PosetNode(node.key, node.tb, node.r, members=node.members)
+        assert same == node and hash(same) == hash(node) and repr(same) == repr(node)
+        assert node != L.PosetNode(node.key, node.tb, node.r)
+        assert copy.deepcopy(node) == node and pickle.loads(pickle.dumps(node)) == node
+
+    built = next(iter(one))
+    t = built.representative
+    kw = L.PosetNode("k", built.tb, built.r, members=(t,))
+    assert kw.members == (t,) and kw.representative == t and kw.size == 1
+    assert repr(kw) == f"PosetNode(key='k', tb={built.tb}, r={built.r}, members=({t!r},))"
+
+    fixture = fixture_poset([("x", 0, 0)], [], tb_min=0, top_tb=0).node("x")
+    assert fixture.size == 0 and fixture.representative is None and fixture.members == ()
+    assert fixture == L.PosetNode("x", 0, 0) and hash(fixture) == hash(L.PosetNode("x", 0, 0))
+    assert fixture != kw and fixture != ("x", 0, 0, ())
+    assert repr(fixture) == "PosetNode(key='x', tb=0, r=0, members=())"
+
+    for node in (built, kw, fixture):
+        for name in ("key", "tb", "members", "representative", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, name, None)
+        with pytest.raises(FrozenInstanceError):
+            del node.key
+
+
+def test_concurrent_first_reads_of_members_agree(cat):
+    spec = L.SumSpec.of([(cat["B"], 3)])
+    want = {n.key: n.members for n in L.build_quotient(spec, spec.top_tb - 4)}
+    nodes = list(L.build_quotient(spec, spec.top_tb - 4))
+    seen: list[dict] = []
+    errors: list[Exception] = []
+    start = threading.Barrier(8)
+
+    def read() -> None:
+        try:
+            start.wait(timeout=60)
+            seen.append({n.key: n.members for n in nodes})
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert seen == [want] * 8

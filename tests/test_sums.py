@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import legsum as L
+from legsum import sums
 
 from conftest import random_sums
 from oracles import bfs_members, fiber_signatures, relation_window
@@ -418,3 +419,37 @@ def test_generator_quotient_matches_relation_oracle_on_powers(A, B):
 @given(random_sums(), st.integers(0, 4))
 def test_generator_quotient_matches_relation_oracle_on_random_ranges(spec, depth):
     assert_matches_relation_oracle(spec, spec.top_tb - depth)
+
+
+# --- lazy members ----------------------------------------------------------------------------
+
+
+def test_verdicts_and_figures_never_expand_members(monkeypatch, A, B):
+    expanded: list[tuple[int, int]] = []
+    members = sums._Generators.members
+
+    def counted(gens, tb, r):
+        expanded.append((tb, r))
+        return members(gens, tb, r)
+
+    monkeypatch.setattr(sums._Generators, "members", counted)
+    windows = []
+    for parts, depth in (([(A, 2), (B, 2)], 8), ([(B, 3)], 6)):
+        spec = L.SumSpec.of(parts)
+        window = L.build_quotient(spec, spec.top_tb - depth)
+        verdict = L.simplicity_in_window(spec, window.tb_min)
+        assert not verdict.simple_in_window
+        assert verdict.witness.tuple_a != verdict.witness.tuple_b
+        assert not L.nonsimple_report(window).simple
+        assert L.detect_valleys(window)
+        assert L.render_svg(window).startswith("<svg")
+        windows.append(window)
+    assert expanded == []
+
+    for window in windows:
+        expanded.clear()
+        for node in window:
+            assert node.members[0] == node.representative
+            assert node.key == node.representative.id_string()
+        # One pass per point, shared by every class there.
+        assert len(expanded) == len(window.points())
