@@ -91,8 +91,13 @@ class SimpleClass:
         """
         return SimpleClass(self.knot_id, self.tb - 1, self.r + r_step(sign))
 
-    def __str__(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:
+        """``A(tb,r)``, formatted on first use; not a field, so equality and hash ignore it."""
         return f"{self.knot_id}({self.tb},{self.r})"
+
+    def __str__(self) -> str:
+        return self._text
 
 
 @dataclass(frozen=True)

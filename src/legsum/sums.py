@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
@@ -144,7 +143,7 @@ class TupleClass:
         return tuple((-f.tb, f.r) for f in self.factors)
 
     def id_string(self) -> str:
-        return "|".join(str(f) for f in self.factors)
+        return "|".join([f._text for f in self.factors])
 
     def __str__(self) -> str:
         return self.id_string()
@@ -271,6 +270,10 @@ class _Generators:
             self._tops.append((gen, Peak(tb, r)))
         self._top_points = tuple((top.tb, top.r) for _gen, top in self._tops)
         self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
+        # One factor per (knot_id, tb, r), shared by every tuple this builder
+        # makes.  Threads that intern the same point at once may each make
+        # one; they are equal values, so either serves.
+        self._factors: dict[tuple[str, int, int], SimpleClass] = {}
 
     def level_points(self, tb: int) -> tuple[int, ...]:
         """The r values of the sum's points at level tb: the cone slices of the generator tops."""
@@ -337,23 +340,34 @@ class _Generators:
         """The canonical tuples at exactly (tb, r), in :meth:`TupleClass.sort_key` order.
 
         Factor positions are filled left to right, each over tb descending
-        and r ascending, and the last is solved from what remains of (tb, r).
+        and r ascending, and the last is solved from what remains of (tb, r):
+        it is a member iff its r lies in its level, found by bisection.
         A position's tb is at least what its later positions cannot absorb:
         those of other summands reach at most their summed tops
         (``other_top``), the ``same`` later ones of its own summand at most
         its tb.  Its r leaves a remainder the later positions reach: at their
         factor tb sum t, from ``r_lo + t`` to ``r_hi - t``, where ``r_lo``
         and ``r_hi`` sum ``min(p.r - p.tb)`` and ``max(p.r + p.tb)``.
+        Factors are taken from this builder's table, so a factor point is one
+        :class:`SimpleClass`, formatted at most once, however many tuples
+        hold it.
         """
         factors: list[SimpleClass] = []
+        table = self._factors
+        last = len(self._slots) - 1
 
         def rec(i: int, t: int, q: int) -> Iterator[TupleClass]:
             rng, _offset, top, follows, same, other_top, r_hi, r_lo = self._slots[i]
             prev = factors[-1] if follows else None
             cap = prev.tb if prev else top
-            if i == len(self._slots) - 1:
-                if (not prev or t < cap or t == cap and q >= prev.r) and rng.contains(t, q):
-                    yield TupleClass(tuple(factors) + (SimpleClass(rng.knot_id, t, q),))
+            if i == last:
+                if not prev or t < cap or t == cap and q >= prev.r:
+                    level = _level_points(rng._peak_points, t)
+                    k = bisect_left(level, q)
+                    if k < len(level) and level[k] == q:
+                        key = (rng.knot_id, t, q)
+                        f = table.get(key) or table.setdefault(key, SimpleClass(*key))
+                        yield TupleClass((*factors, f))
                 return
             for tb_i in range(cap, -(-(t - other_top) // (same + 1)) - 1, -1):
                 rest = t - tb_i
@@ -362,11 +376,12 @@ class _Generators:
                 if prev and tb_i == cap:
                     r_min = max(r_min, prev.r)
                 for r_i in level[bisect_left(level, r_min):bisect_right(level, q - r_lo - rest)]:
-                    factors.append(SimpleClass(rng.knot_id, tb_i, r_i))
+                    key = (rng.knot_id, tb_i, r_i)
+                    factors.append(table.get(key) or table.setdefault(key, SimpleClass(*key)))
                     yield from rec(i + 1, rest, q - r_i)
                     factors.pop()
 
-        return rec(0, tb - (len(self._slots) - 1), r)
+        return rec(0, tb - last, r)
 
 
 def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator, PosetNode]]:
@@ -390,9 +405,15 @@ def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator, Pose
         reps.setdefault(components[gens.label(t.factors)], t)
         if len(reps) == len(roots):
             break
-    point = functools.cache(lambda: gens.members(tb, r))
+    members: dict[Generator, tuple[TupleClass, ...]] = {}
+
+    def expand(root: Generator) -> tuple[TupleClass, ...]:
+        if not members:
+            members.update(gens.members(tb, r))
+        return members[root]
+
     return [
-        (root, PosetNode._lazy(t.id_string(), tb, r, t, lambda root=root: point()[root]))
+        (root, PosetNode._lazy(t.id_string(), tb, r, t, functools.partial(expand, root)))
         for root, t in reps.items()
     ]
 
@@ -438,8 +459,10 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     until every component has its representative (see :func:`_partition`);
     their members are expanded only when read.  Edges are the signed
     stabilization steps between classes, led from each representative to
-    the class of its stabilized tuple.  ``workers`` > 1 runs the per-point
-    partitioning on a thread pool; results are identical to the serial order.
+    the class of its stabilized tuple; an edge into a one-class point goes
+    to that class without stabilizing or labelling anything.  ``workers`` >
+    1 runs the per-point partitioning on a thread pool; results are
+    identical to the serial order.
     """
     top = spec.top_tb
     if tb_min > top:
@@ -447,25 +470,30 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     gens = _Generators(spec)
     order = [(tb, r) for tb in range(top, tb_min - 1, -1) for r in gens.level_points(tb)]
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda pt: _partition(gens, *pt), order))
     else:
         parts = [_partition(gens, *pt) for pt in order]
 
     nodes: list[PosetNode] = []
-    key_of: dict[tuple[tuple[int, int], Generator], str] = {}
+    keys_at: dict[tuple[int, int], dict[Generator, str]] = {}
     for pt, classes in zip(order, parts):
-        for root, node in classes:
-            nodes.append(node)
-            key_of[pt, root] = node.key
+        keys_at[pt] = {root: node.key for root, node in classes}
+        nodes.extend(node for _root, node in classes)
     edges: list[Edge] = []
     for node in nodes:
         if node.tb <= tb_min:
             continue
-        rep = node.representative
         for sign in (POS, NEG):
-            moved = (rep.factors[0].stabilized(sign),) + rep.factors[1:]
             child = (node.tb - 1, node.r + r_step(sign))
-            root = gens.components(*child)[gens.label(moved)]
-            edges.append(Edge(node.key, sign, key_of[child, root]))
+            keys = keys_at[child]
+            if len(keys) == 1:
+                (key,) = keys.values()
+            else:
+                rep = node.representative
+                moved = (rep.factors[0].stabilized(sign),) + rep.factors[1:]
+                key = keys[gens.components(*child)[gens.label(moved)]]
+            edges.append(Edge(node.key, sign, key))
     return QuotientPoset(nodes, edges, tb_min, top, top_is_global=True)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -239,3 +242,11 @@ def test_parity_and_top(A, U1, C):
     assert A.parity == 0 and A.top_tb == 0
     assert U1.parity == 1 and U1.top_tb == -1
     assert C.parity == 1 and C.top_tb == 1
+
+
+def test_simple_class_text_is_no_field():
+    a, b = L.SimpleClass("A", -1, 2), L.SimpleClass("A", -1, 2)
+    assert str(a) == "A(-1,2)"
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "SimpleClass(knot_id='A', tb=-1, r=2)"
+    for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)), pickle.loads(pickle.dumps(b))):
+        assert c == a and hash(c) == hash(a) and str(c) == "A(-1,2)"

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -453,3 +457,62 @@ def test_verdicts_and_figures_never_expand_members(monkeypatch, A, B):
             assert node.key == node.representative.id_string()
         # One pass per point, shared by every class there.
         assert len(expanded) == len(window.points())
+
+
+# --- per-tuple and per-edge work ---------------------------------------------------------------
+
+
+def record_calls(monkeypatch, owner, name: str, note=lambda *args: args) -> list:
+    """Replace ``owner.name`` by a wrapper that appends ``note(*args)`` for every call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(note(*args))
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_windows_of_one_class_points_label_nothing(monkeypatch, A, B, U1):
+    labels = record_calls(monkeypatch, sums._Generators, "label")
+    for parts in ([(B, 1)], [(A, 1), (U1, 1)]):
+        spec = L.SumSpec.of(parts)
+        assert L.build_quotient(spec, spec.top_tb - 8).edges
+    assert labels == []
+
+
+def test_builds_label_only_tuples_of_multi_class_points(monkeypatch, A, B):
+    def classes_at(gens, factors):
+        tb = sum(f.tb for f in factors) + len(factors) - 1
+        return len(set(gens.components(tb, sum(f.r for f in factors)).values()))
+
+    labelled = record_calls(monkeypatch, sums._Generators, "label", classes_at)
+    spec = L.SumSpec.of([(A, 2), (B, 2)])
+    L.build_quotient(spec, spec.top_tb - 8)
+    assert labelled and min(labelled) > 1
+
+
+def test_listing_members_tests_no_membership(monkeypatch, A, B):
+    contains = record_calls(monkeypatch, L.MountainRange, "contains")
+    spec = L.SumSpec.of([(A, 2), (B, 2)])
+    doc = L.to_jsonable(L.build_quotient(spec, spec.top_tb - 8))
+    assert sum(len(node["members"]) for node in doc["nodes"]) == 66829
+    assert contains == []
+
+
+def test_a_window_holds_one_factor_per_point(B):
+    spec = L.SumSpec.of([(B, 3)])
+    factors = [f for node in L.build_quotient(spec, spec.top_tb - 4) for t in node.members for f in t.factors]
+    assert len({id(f) for f in factors}) == len(set(factors))
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    code = "import sys, legsum; legsum.catalog(); print('concurrent.futures' in sys.modules)"
+    src = str(Path(L.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
