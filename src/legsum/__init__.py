@@ -46,7 +46,6 @@ from .sums import (
     enumerate_fiber,
     iter_canonical_tuples,
     peaks_of_sum,
-    relation_neighbors,
 )
 from .poset import (
     DichotomyVerdict,

@@ -404,7 +404,13 @@ def _add_common(sub: argparse.ArgumentParser, *, spec=False, knot=False, window=
     sub.add_argument("--out", help="write the primary output to this file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``legsum`` parser for one call.
+
+    Every subcommand is registered, so top-level usage, help and "invalid
+    choice" errors never change; but only ``command``'s subparser gets its
+    options and handler.  ``None`` builds them all.
+    """
     parser = argparse.ArgumentParser(
         prog="legsum",
         description="Stabilization calculus for Legendrian knots and their connected sums.",
@@ -428,13 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     for name, fn, flags, help_text in table:
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub, **flags)
-        sub.set_defaults(func=fn)
+        if command is None or command == name:
+            _add_common(sub, **flags)
+            sub.set_defaults(func=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so a first
+    # token that is not an option names the subcommand.
+    parser = build_parser(argv[0] if argv and not argv[0].startswith("-") else None)
     args = parser.parse_args(argv)
     try:
         result: Result = args.func(args, parser)

@@ -21,8 +21,7 @@ tuple: that tuple is the class's representative and names its node.
 Windows of the quotient poset are assembled from those nodes, with edges
 led from the representatives.  A class's members are enumerated only when
 first read, in one pass over its point shared by all classes there, so only
-outputs that list members pay for them.  :func:`relation_neighbors` states
-the moves themselves.
+outputs that list members pay for them.
 """
 
 from __future__ import annotations
@@ -175,31 +174,6 @@ def canonicalize_tuple(spec: SumSpec, factors: Iterable[SimpleClass]) -> TupleCl
             rng.point(f.tb, f.r)  # raises NotAMember on junk input
         ordered.extend(sorted(grp, key=_factor_key))
     return TupleClass(tuple(ordered))
-
-
-def relation_neighbors(spec: SumSpec, t: TupleClass) -> set[TupleClass]:
-    """Tuples one move away: destabilize factor i, stabilize factor j, same sign.
-
-    Every neighbor has the same summed invariants.  The tuple itself is not
-    reported as its own neighbor.
-    """
-    out: set[TupleClass] = set()
-    fs = t.factors
-    for i, fi in enumerate(fs):
-        rng_i = spec.range_of(fi.knot_id)
-        for sign in (POS, NEG):
-            parent = rng_i.destabilize(fi, sign)
-            if parent is None:
-                continue
-            for j, fj in enumerate(fs):
-                if j == i:
-                    continue
-                moved = list(fs)
-                moved[i] = parent
-                moved[j] = fj.stabilized(sign)
-                out.add(canonicalize_tuple(spec, moved))
-    out.discard(t)
-    return out
 
 
 # --- canonical tuple enumeration -----------------------------------------------

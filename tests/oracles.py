@@ -11,8 +11,8 @@ algorithm than the library uses:
 * canonical forms via direct enumeration of every (a, b, p, q)
   representation of a point;
 * quotient windows via union-find over every canonical tuple under the
-  library's own relation moves (:func:`legsum.relation_neighbors`) instead
-  of the generator quotient.
+  relation moves themselves (:func:`relation_neighbors`) instead of the
+  generator quotient.
 """
 
 from __future__ import annotations
@@ -205,6 +205,31 @@ def all_window_points(peaks: list[Point], n: int, tb_min: int) -> set[Point]:
 # --- quotient windows by union-find over the relation moves -----------------------
 
 
+def relation_neighbors(spec: L.SumSpec, t: L.TupleClass) -> set[L.TupleClass]:
+    """Tuples one move away: destabilize factor i, stabilize factor j, same sign.
+
+    Every neighbor has the same summed invariants.  The tuple itself is not
+    reported as its own neighbor.
+    """
+    out: set[L.TupleClass] = set()
+    fs = t.factors
+    for i, fi in enumerate(fs):
+        rng_i = spec.range_of(fi.knot_id)
+        for sign in (L.POS, L.NEG):
+            parent = rng_i.destabilize(fi, sign)
+            if parent is None:
+                continue
+            for j, fj in enumerate(fs):
+                if j == i:
+                    continue
+                moved = list(fs)
+                moved[i] = parent
+                moved[j] = fj.stabilized(sign)
+                out.add(L.canonicalize_tuple(spec, moved))
+    out.discard(t)
+    return out
+
+
 def relation_partition(spec: L.SumSpec, tuples: list[L.TupleClass]) -> list[L.PosetNode]:
     """Union-find partition of one fiber under the relation moves.
 
@@ -213,7 +238,7 @@ def relation_partition(spec: L.SumSpec, tuples: list[L.TupleClass]) -> list[L.Po
     """
     dsu = _DSU(tuples)
     for t in tuples:
-        for nb in L.relation_neighbors(spec, t):
+        for nb in relation_neighbors(spec, t):
             dsu.union(t, nb)
     groups: dict[L.TupleClass, list[L.TupleClass]] = {}
     for t in tuples:

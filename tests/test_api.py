@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "ValidationReport", "Valley", "Violation", "make_range",
     # sums
     "SumSpec", "Summand", "TupleClass", "build_quotient", "canonicalize_tuple",
-    "enumerate_fiber", "iter_canonical_tuples", "peaks_of_sum", "relation_neighbors",
+    "enumerate_fiber", "iter_canonical_tuples", "peaks_of_sum",
     # poset
     "DichotomyVerdict", "Edge", "NonsimpleReport", "PosetNode", "QuotientPoset",
     "check_nmax_dichotomy", "classify_nmax_point", "detect_peaks", "detect_valleys",

