@@ -245,9 +245,10 @@ class _Generators:
         self._top_points = tuple((top.tb, top.r) for _gen, top in self._tops)
         self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
         # One factor per (knot_id, tb, r), shared by every tuple this builder
-        # makes.  Threads that intern the same point at once may each make
-        # one; they are equal values, so either serves.
-        self._factors: dict[tuple[str, int, int], SimpleClass] = {}
+        # makes, beside its label region: the index of the leftmost peak of
+        # its range whose cone holds it.  Threads that intern the same point
+        # at once may each make one; they are equal values, so either serves.
+        self._factors: dict[tuple[str, int, int], tuple[SimpleClass, int]] = {}
 
     def level_points(self, tb: int) -> tuple[int, ...]:
         """The r values of the sum's points at level tb: the cone slices of the generator tops."""
@@ -286,15 +287,28 @@ class _Generators:
         """The generator of a factor tuple grouped in spec order.
 
         Each factor counts towards the leftmost peak of its summand whose
-        cone holds it.
+        cone holds it.  That peak is read from the factor table; only a
+        factor this builder has not interned yet is placed against the peaks.
         """
         counts = [0] * self._width
+        table = self._factors
         for f, slot in zip(factors, self._slots):
-            for j, p in enumerate(slot[0].peaks):
-                if _cone_coords(p, f.tb, f.r) is not None:
-                    counts[slot[1] + j] += 1
-                    break
+            key = (f.knot_id, f.tb, f.r)
+            counts[slot[1] + (table.get(key) or self._intern(slot[0], key))[1]] += 1
         return tuple(counts)
+
+    def _intern(self, rng: MountainRange, key: tuple[str, int, int]) -> tuple[SimpleClass, int]:
+        """The table entry of a factor point of ``rng``: its factor and label region.
+
+        The point shares the parity of every peak of its range, so it lies
+        in a peak's cone iff its r is within the peak's tb drop of the
+        peak's r.
+        """
+        _knot_id, tb, r = key
+        for region, (p_tb, p_r) in enumerate(rng._peak_points):
+            if abs(r - p_r) <= p_tb - tb:
+                break
+        return self._factors.setdefault(key, (SimpleClass(*key), region))
 
     def members(self, tb: int, r: int) -> dict[Generator, tuple[TupleClass, ...]]:
         """The canonical tuples at (tb, r) grouped by component root, in canonical order.
@@ -314,48 +328,77 @@ class _Generators:
         """The canonical tuples at exactly (tb, r), in :meth:`TupleClass.sort_key` order.
 
         Factor positions are filled left to right, each over tb descending
-        and r ascending, and the last is solved from what remains of (tb, r):
-        it is a member iff its r lies in its level, found by bisection.
+        and r ascending.  The last position is solved inline, in the loop
+        over the position before it: its factor is what remains of (tb, r),
+        a member iff that r lies in its level, found by bisection.  So an
+        n-factor sum nests n - 1 generators, none of them per last-position
+        candidate; an n = 2 sum runs one per point.
         A position's tb is at least what its later positions cannot absorb:
         those of other summands reach at most their summed tops
         (``other_top``), the ``same`` later ones of its own summand at most
         its tb.  Its r leaves a remainder the later positions reach: at their
         factor tb sum t, from ``r_lo + t`` to ``r_hi - t``, where ``r_lo``
-        and ``r_hi`` sum ``min(p.r - p.tb)`` and ``max(p.r + p.tb)``.
-        Factors are taken from this builder's table, so a factor point is one
-        :class:`SimpleClass`, formatted at most once, however many tuples
-        hold it.
+        and ``r_hi`` sum ``min(p.r - p.tb)`` and ``max(p.r + p.tb)``.  Within
+        a summand the order is kept by taking the next factor's tb at most
+        the previous one's, and its r at least the previous one's at equal
+        tb.  Factors are taken from this builder's table, so a factor point
+        is one :class:`SimpleClass`, formatted at most once, however many
+        tuples hold it.
         """
-        factors: list[SimpleClass] = []
-        table = self._factors
         last = len(self._slots) - 1
+        if last:
+            return self._walk(0, tb - last, r, ())
+        # One factor: the point itself, if it lies in its level.
+        rng = self._slots[0][0]
+        level = _level_points(rng._peak_points, tb)
+        k = bisect_left(level, r)
+        if k < len(level) and level[k] == r:
+            key = (rng.knot_id, tb, r)
+            return iter([TupleClass(((self._factors.get(key) or self._intern(rng, key))[0],))])
+        return iter([])
 
-        def rec(i: int, t: int, q: int) -> Iterator[TupleClass]:
-            rng, _offset, top, follows, same, other_top, r_hi, r_lo = self._slots[i]
-            prev = factors[-1] if follows else None
-            cap = prev.tb if prev else top
-            if i == last:
-                if not prev or t < cap or t == cap and q >= prev.r:
-                    level = _level_points(rng._peak_points, t)
-                    k = bisect_left(level, q)
-                    if k < len(level) and level[k] == q:
-                        key = (rng.knot_id, t, q)
-                        f = table.get(key) or table.setdefault(key, SimpleClass(*key))
-                        yield TupleClass((*factors, f))
-                return
-            for tb_i in range(cap, -(-(t - other_top) // (same + 1)) - 1, -1):
-                rest = t - tb_i
-                level = _level_points(rng._peak_points, tb_i)
-                r_min = q - r_hi + rest
-                if prev and tb_i == cap:
-                    r_min = max(r_min, prev.r)
-                for r_i in level[bisect_left(level, r_min):bisect_right(level, q - r_lo - rest)]:
-                    key = (rng.knot_id, tb_i, r_i)
-                    factors.append(table.get(key) or table.setdefault(key, SimpleClass(*key)))
-                    yield from rec(i + 1, rest, q - r_i)
-                    factors.pop()
-
-        return rec(0, tb - last, r)
+    def _walk(self, i: int, t: int, q: int, head: tuple[SimpleClass, ...]) -> Iterator[TupleClass]:
+        """The tuples that extend ``head`` by positions i, i + 1, ... at factor tb sum t and r sum q."""
+        rng, _offset, top, follows, same, other_top, r_hi, r_lo = self._slots[i]
+        knot_id, points = rng.knot_id, rng._peak_points
+        table, intern = self._factors, self._intern
+        prev = head[-1] if follows else None
+        cap = prev.tb if prev else top
+        inline = i + 2 == len(self._slots)
+        if inline:
+            last_slot = self._slots[i + 1]
+            last_rng, last_follows = last_slot[0], last_slot[3]
+            last_id, last_points = last_rng.knot_id, last_rng._peak_points
+        for tb_i in range(cap, -(-(t - other_top) // (same + 1)) - 1, -1):
+            rest = t - tb_i
+            level = _level_points(points, tb_i)
+            r_min = q - r_hi + rest
+            if prev and tb_i == cap:
+                r_min = max(r_min, prev.r)
+            candidates = level[bisect_left(level, r_min):bisect_right(level, q - r_lo - rest)]
+            if not inline:
+                for r_i in candidates:
+                    key = (knot_id, tb_i, r_i)
+                    yield from self._walk(i + 1, rest, q - r_i, head + ((table.get(key) or intern(rng, key))[0],))
+                continue
+            # The last position is (rest, q - r_i), kept after this one's
+            # factor within a summand.
+            if last_follows and rest > tb_i:
+                continue
+            tie = last_follows and rest == tb_i
+            last_level = _level_points(last_points, rest)
+            for r_i in candidates:
+                q_last = q - r_i
+                if tie and q_last < r_i:
+                    continue
+                k = bisect_left(last_level, q_last)
+                if k < len(last_level) and last_level[k] == q_last:
+                    key = (knot_id, tb_i, r_i)
+                    key_last = (last_id, rest, q_last)
+                    yield TupleClass(head + (
+                        (table.get(key) or intern(rng, key))[0],
+                        (table.get(key_last) or intern(last_rng, key_last))[0],
+                    ))
 
 
 def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator, PosetNode]]:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through the programmatic entry point."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -613,3 +614,19 @@ def test_console_entry_reads_sys_argv(capsys):
         [sys.executable, "-m", "legsum.cli"], env=env, capture_output=True, text=True, timeout=60,
     )
     assert bare.returncode == 2
+
+
+# --- window dump bytes ------------------------------------------------------------
+
+WINDOW_DUMP_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "window_dump.sha256.json"
+
+
+def test_window_dumps_match_recorded_digests(capsysbinary):
+    # The benchmark's 40 `sum --format json` and `render --render svg` argvs
+    # at depth 10, keyed by their space-joined argv; the file is only read.
+    digests = json.loads(WINDOW_DUMP_DIGESTS.read_text(encoding="utf-8"))
+    assert len(digests) == 40
+    for key, want in sorted(digests.items()):
+        assert main(key.split(" ")) == 0, key
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == want, key

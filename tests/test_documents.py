@@ -1,9 +1,13 @@
 """Document parsing, canonical serialization, the bundled catalog, JSON views."""
 
+import enum
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import legsum as L
 from legsum.documents import (
@@ -32,6 +36,78 @@ def test_dump_json_canonical_form():
     assert text == '{\n  "a": [\n    2,\n    {\n      "y": 1,\n      "z": 0\n    }\n  ],\n  "b": 1\n}\n'
     assert text.endswith("\n")
     assert json.loads(text) == {"a": [2, {"y": 1, "z": 0}], "b": 1}
+
+
+def json_dumps_reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def outcome(dump, obj):
+    """The text ``dump`` writes for ``obj``, or the type of what it raises."""
+    try:
+        return dump(obj)
+    except Exception as exc:
+        return type(exc)
+
+
+_texts = st.text() | st.text(st.sampled_from('\x00\x1f\x7f"\\/\b\t\n\u2028\u00e9\ud800\U0001f600a'))
+_ints = st.integers() | st.integers(2**63, 2**200) | st.integers(-(2**200), -(2**63))
+_floats = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, 5e-324])
+_scalars = st.none() | st.booleans() | st.sampled_from([0, 1]) | _ints | _floats | _texts
+# Keys of one kind per dict, as numbers and bools sort among themselves but
+# not with strings or None (that TypeError is tested below).
+_key_kinds = (_texts, _ints | _floats | st.booleans(), st.none())
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.one_of([st.dictionaries(keys, children, max_size=5) for keys in _key_kinds])
+    )
+
+
+json_trees = st.recursive(_scalars, _containers, max_leaves=40)
+
+
+@settings(max_examples=200)
+@given(json_trees)
+def test_dump_json_matches_json_dumps(tree):
+    assert outcome(dump_json, tree) == outcome(json_dumps_reference, tree)
+
+
+def test_dump_json_matches_json_dumps_on_subclasses_and_errors():
+    class Colour(enum.IntEnum):
+        RED = 1
+
+    class Text(str):
+        pass
+
+    class Real(float):
+        pass
+
+    looped_list: list = [1]
+    looped_list.append(looped_list)
+    looped_dict: dict = {"a": []}
+    looped_dict["a"].append(looped_dict)
+    values = [
+        {Colour.RED: [Colour.RED, Text("t\u00e9"), Real(0.5), OrderedDict(b=1, a=True)]},
+        "top-level \u2028",
+        [[], {}, (), [[]], {"": {}}],
+        {True: 0, 1.5: None, -2: False},
+        object(),
+        [1, {"a": {1, 2}}],
+        {"x": b"bytes"},
+        {(1, 2): 3},
+        {"a": 1, 2: "b"},
+        complex(1, 2),
+        looped_list,
+        looped_dict,
+    ]
+    for value in values:
+        want = outcome(json_dumps_reference, value)
+        assert outcome(dump_json, value) == want, value
+    assert [outcome(dump_json, v) for v in values[4:]] == [TypeError] * 6 + [ValueError] * 2
 
 
 # --- knot documents ---------------------------------------------------------------

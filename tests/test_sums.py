@@ -198,11 +198,16 @@ def brute_canonical_tuples(spec: L.SumSpec, factor_tb_sum: int) -> set[L.TupleCl
 
 
 def test_iter_canonical_tuples_matches_brute_force(A, B, C):
+    # A:3, B:3 and A:2,B:2 put the last two positions in one summand, where
+    # they may tie on tb.
     for spec in (
         L.SumSpec.of([(A, 2)]),
         L.SumSpec.of([(B, 2)]),
         L.SumSpec.of([(A, 1), (C, 1)]),
         L.SumSpec.of([(A, 2), (C, 1)]),
+        L.SumSpec.of([(A, 3)]),
+        L.SumSpec.of([(B, 3)]),
+        L.SumSpec.of([(A, 2), (B, 2)]),
     ):
         for depth in range(0, 4):
             budget = spec.top_tb - depth - (spec.n - 1)
@@ -500,6 +505,25 @@ def test_listing_members_tests_no_membership(monkeypatch, A, B):
     doc = L.to_jsonable(L.build_quotient(spec, spec.top_tb - 8))
     assert sum(len(node["members"]) for node in doc["nodes"]) == 66829
     assert contains == []
+
+
+def test_labels_read_the_factor_table(monkeypatch, A, B):
+    spec = L.SumSpec.of([(A, 2), (B, 2)])
+    gens = sums._Generators(spec)
+    points = [(tb, r) for tb in range(spec.top_tb, spec.top_tb - 7, -1) for r in gens.level_points(tb)]
+    tuples = [t for pt in points for t in gens.tuples(*pt)]
+    cones = record_calls(monkeypatch, sums, "_cone_coords")
+    interned = record_calls(monkeypatch, sums._Generators, "_intern")
+    labels = [gens.label(t.factors) for t in tuples]
+    assert cones == [] and interned == []
+    # Each factor counts towards the leftmost peak of its range whose cone holds it.
+    offsets = {"A": 0, "B": A.peak_count}
+    for t, label in zip(tuples, labels):
+        want = [0] * (A.peak_count + B.peak_count)
+        for f in t.factors:
+            peaks = spec.range_of(f.knot_id).peaks
+            want[offsets[f.knot_id] + next(j for j, p in enumerate(peaks) if L.ranges._cone_coords(p, f.tb, f.r) is not None)] += 1
+        assert label == tuple(want)
 
 
 def test_a_window_holds_one_factor_per_point(B):
