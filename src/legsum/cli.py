@@ -176,7 +176,8 @@ def cmd_valleys(args, parser) -> Result:
 def cmd_sum(args, parser) -> Result:
     spec = _load_spec(args, parser)
     poset = build_quotient(spec, _window_floor(args, spec.top_tb))
-    payload = {"command": "sum", "spec": spec.label(), **to_jsonable(poset)}
+    if args.format == "json":
+        return Result({"command": "sum", "spec": spec.label(), **to_jsonable(poset)}, "")
     rows = [
         ["spec", spec.label()],
         ["top_tb", poset.top_tb],
@@ -185,7 +186,7 @@ def cmd_sum(args, parser) -> Result:
         ["edges", len(poset.edges)],
     ]
     rows += [["node", n.tb, n.r, n.size, n.key] for n in poset]
-    return Result(payload, _rows(*rows))
+    return Result({}, _rows(*rows))
 
 
 def cmd_fiber(args, parser) -> Result:

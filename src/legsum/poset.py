@@ -5,7 +5,7 @@ with one positive and one negative stabilization edge leaving every class.
 We only ever materialize a window of it, from the top tb level down to a
 floor ``tb_min``.  :class:`QuotientPoset` is that window: nodes carry a
 deterministic key, a (tb, r) point, and optionally the representative and
-member tuples of the class they stand for, members expanded on first use.
+member tuples of the class they stand for, made on first use.
 
 Analysis layer:
 
@@ -30,7 +30,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import WindowTooShallow
-from .ranges import NEG, POS, check_sign, r_step
+from .ranges import NEG, POS, SIGNS, check_sign
 
 Point = tuple[int, int]
 
@@ -39,29 +39,24 @@ class PosetNode:
     """One equivalence class in the window: an immutable value.
 
     ``members`` holds the canonical tuples of the class, representative
-    first; hand-built fixture nodes leave it empty.  Nodes of a built window
-    know their ``representative`` from the start and expand ``members`` on
-    first access (see :meth:`_lazy`), so outputs that never list members
-    never enumerate them.  Equality and repr read the members, expanding
-    them if need be; the hash does not.
+    first; hand-built fixture nodes leave it empty.  A built node takes its
+    members, and at a one-class point its representative, as callables that
+    run on first read only (see :meth:`_lazy`), so outputs that never list
+    or name a class never enumerate it; the key is the representative's id
+    string.  Equality and repr read the members; the hash does not.
     """
 
-    __slots__ = ("key", "tb", "r", "representative", "_members", "_expand")
+    __slots__ = ("_key", "tb", "r", "_representative", "_members")
 
     def __init__(self, key: str, tb: int, r: int, members: tuple = ()) -> None:
-        self._fill(key, tb, r, members[0] if members else None, members, None)
+        _fill(self, key, tb, r, members[0] if members else None, members)
 
     @classmethod
-    def _lazy(cls, key: str, tb: int, r: int, representative, expand: Callable[[], tuple]) -> "PosetNode":
-        """A node whose members ``expand()`` returns, called on first access only."""
+    def _lazy(cls, tb: int, r: int, representative, members: Callable[[], tuple]) -> "PosetNode":
+        """A node whose members, and representative if callable, are made on first read."""
         node = object.__new__(cls)
-        node._fill(key, tb, r, representative, None, expand)
+        _fill(node, None, tb, r, representative, members)
         return node
-
-    def _fill(self, *values) -> None:
-        """Set the slots, in ``__slots__`` order, past the frozen ``__setattr__``."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -69,18 +64,33 @@ class PosetNode:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def _settle(self, name: str):
+        """A lazy slot's value: a callable there is called once read and replaced by its result.
+
+        Concurrent first reads may each call it and store equal values.
+        """
+        value = getattr(self, name)
+        if callable(value):
+            value = value()
+            object.__setattr__(self, name, value)
+        return value
+
     @property
     def members(self) -> tuple:
-        # Read the expander before the members and drop it after storing
-        # them, so a concurrent first access sees one or the other, and an
-        # expanded node no longer keeps its builder's tables alive.
-        expand = self._expand
-        members = self._members
-        if members is None:
-            members = expand()
-            object.__setattr__(self, "_members", members)
-            object.__setattr__(self, "_expand", None)
+        members = self._settle("_members")
+        if callable(self._representative):  # the first member, without keeping the builder alive
+            object.__setattr__(self, "_representative", members[0])
         return members
+
+    @property
+    def representative(self):
+        return self._settle("_representative")
+
+    @property
+    def key(self) -> str:
+        if self._key is None:
+            object.__setattr__(self, "_key", self.representative.id_string())
+        return self._key
 
     @property
     def point(self) -> Point:
@@ -106,6 +116,19 @@ class PosetNode:
         return (PosetNode, (self.key, self.tb, self.r, self.members))
 
 
+_SET_SLOT = tuple(PosetNode.__dict__[name].__set__ for name in PosetNode.__slots__)
+
+
+def _fill(node: PosetNode, key, tb, r, representative, members) -> None:
+    """Set a node's slots past its frozen ``__setattr__``."""
+    set_key, set_tb, set_r, set_representative, set_members = _SET_SLOT
+    set_key(node, key)
+    set_tb(node, tb)
+    set_r(node, r)
+    set_representative(node, representative)
+    set_members(node, members)
+
+
 @dataclass(frozen=True)
 class Edge:
     parent: str
@@ -113,15 +136,18 @@ class Edge:
     child: str
 
 
-def _node_order(node: PosetNode) -> tuple:
-    return (-node.tb, node.r, node.key)
-
-
 class QuotientPoset:
     """A truncated stabilization poset with signed edges.
 
-    Nodes and edges are stored in a deterministic order; every accessor
-    returns deterministically ordered results.
+    Nodes are held by position in window order (descending tb, ascending r,
+    then key), so each fiber is one run of positions; children and parents
+    are lists of positions, per sign and node.  The analyses below walk
+    positions and read no key.  The key index and the sorted ``edges`` are
+    made on first read.  Given :class:`Edge` values, the constructor sorts
+    and indexes the nodes.  :func:`legsum.sums.build_quotient` instead
+    passes ``edges`` as a dict from each sign to every node's child
+    positions, its nodes in window order; only keys of multi-class fibers
+    are read, to check them.  Every edge must be a stabilization step.
     """
 
     def __init__(
@@ -132,37 +158,49 @@ class QuotientPoset:
         top_tb: int,
         top_is_global: bool = True,
     ) -> None:
-        ordered = sorted(nodes, key=_node_order)
-        self._nodes: dict[str, PosetNode] = {}
-        for n in ordered:
-            if n.key in self._nodes:
-                raise ValueError(f"duplicate node key {n.key!r}")
-            if not (tb_min <= n.tb <= top_tb):
-                raise ValueError(f"node {n.key!r} at tb={n.tb} lies outside the window")
-            self._nodes[n.key] = n
-        self.edges: tuple[Edge, ...] = tuple(
-            sorted(edges, key=lambda e: (e.parent, e.sign, e.child))
-        )
         self.tb_min = tb_min
         self.top_tb = top_tb
         self.top_is_global = top_is_global
-
-        self._children: dict[str, dict[str, list[str]]] = {k: {POS: [], NEG: []} for k in self._nodes}
-        self._parents: dict[str, dict[str, list[str]]] = {k: {POS: [], NEG: []} for k in self._nodes}
-        for e in self.edges:
-            check_sign(e.sign)
-            if e.parent not in self._nodes or e.child not in self._nodes:
-                raise ValueError(f"edge {e} references an unknown node")
-            p, c = self._nodes[e.parent], self._nodes[e.child]
-            if (c.tb, c.r) != (p.tb - 1, p.r + r_step(e.sign)):
-                raise ValueError(f"edge {e} is not a {e.sign} stabilization step")
-            self._children[e.parent][e.sign].append(e.child)
-            self._parents[e.child][e.sign].append(e.parent)
-
-        by_point: dict[Point, list[str]] = {}
-        for k, n in self._nodes.items():
-            by_point.setdefault(n.point, []).append(k)
-        self._by_point = {pt: tuple(ks) for pt, ks in by_point.items()}
+        self._edges: tuple[Edge, ...] | None = None
+        self._index: dict[str, int] | None = None
+        if isinstance(edges, dict):
+            self._nodes, self._down = list(nodes), edges
+        else:
+            self._nodes = sorted(nodes, key=lambda n: (-n.tb, n.r, n.key))
+            index = self._index = {}
+            for i, n in enumerate(self._nodes):
+                if index.setdefault(n.key, i) != i:
+                    raise ValueError(f"duplicate node key {n.key!r}")
+            self._edges = tuple(sorted(edges, key=lambda e: (e.parent, e.sign, e.child)))
+            self._down = {sign: [[] for _ in self._nodes] for sign in SIGNS}
+            for e in self._edges:
+                check_sign(e.sign)
+                if e.parent not in index or e.child not in index:
+                    raise ValueError(f"edge {e} references an unknown node")
+                self._down[e.sign][index[e.parent]].append(index[e.child])
+        nodes = self._nodes
+        for n in nodes[:1] + nodes[-1:]:
+            if not (tb_min <= n.tb <= top_tb):
+                raise ValueError(f"node {n.key!r} at tb={n.tb} lies outside the window")
+        self._at: dict[Point, tuple[int, int]] = {}
+        for i, n in enumerate(nodes):
+            pt, start = (n.tb, n.r), i
+            if i and (nodes[i - 1].tb, nodes[i - 1].r) == pt:
+                start = self._at[pt][0]
+                if nodes[i - 1].key >= n.key:
+                    raise ValueError(f"duplicate node key {n.key!r} or keys out of order at {pt}")
+            elif i and (-nodes[i - 1].tb, nodes[i - 1].r) > (-n.tb, n.r):
+                raise ValueError(f"node at {pt} is out of window order")
+            self._at[pt] = (start, i + 1)
+        self._up = {sign: [[] for _ in nodes] for sign in SIGNS}
+        for sign, step in zip(SIGNS, (1, -1)):
+            up = self._up[sign]
+            for i, kids in enumerate(self._down[sign]):
+                p = nodes[i]
+                for c in kids:
+                    if nodes[c].tb != p.tb - 1 or nodes[c].r != p.r + step:
+                        raise ValueError(f"edge {Edge(p.key, sign, nodes[c].key)} is not a {sign} stabilization step")
+                    up[c].append(i)
 
     @classmethod
     def from_parts(
@@ -188,39 +226,61 @@ class QuotientPoset:
 
     # --- access -----------------------------------------------------------------
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge, sorted by (parent, sign, child) key."""
+        if self._edges is None:
+            keys = [n.key for n in self._nodes]
+            links = sorted(
+                (keys[i], sign, keys[c]) for sign, down in self._down.items() for i, kids in enumerate(down) for c in kids
+            )
+            self._edges = tuple(Edge(*link) for link in links)
+        return self._edges
+
+    def _keyed(self) -> dict[str, int]:
+        """Node positions by key."""
+        if self._index is None:
+            self._index = {n.key: i for i, n in enumerate(self._nodes)}
+        return self._index
+
     def __len__(self) -> int:
         return len(self._nodes)
 
     def __iter__(self) -> Iterator[PosetNode]:
-        return iter(self._nodes.values())
+        return iter(self._nodes)
 
     def node(self, key: str) -> PosetNode:
-        return self._nodes[key]
+        return self._nodes[self._keyed()[key]]
 
     def __contains__(self, key: str) -> bool:
-        return key in self._nodes
+        return key in self._keyed()
 
     def points(self) -> list[Point]:
         """All distinct (tb, r) points of the window, top row first."""
-        return sorted(self._by_point, key=lambda pt: (-pt[0], pt[1]))
+        return list(self._at)
 
     def fiber(self, tb: int, r: int) -> tuple[PosetNode, ...]:
         """All classes sharing the invariant pair (tb, r)."""
-        return tuple(self._nodes[k] for k in self._by_point.get((tb, r), ()))
+        return tuple(self._nodes[slice(*self._at.get((tb, r), (0, 0)))])
 
     def fiber_size(self, tb: int, r: int) -> int:
-        return len(self._by_point.get((tb, r), ()))
+        start, stop = self._at.get((tb, r), (0, 0))
+        return stop - start
 
     def children(self, key: str, sign: str | None = None) -> tuple[str, ...]:
-        if sign is not None:
-            return tuple(self._children[key][check_sign(sign)])
-        return tuple(self._children[key][POS]) + tuple(self._children[key][NEG])
+        i, down = self._keyed()[key], self._down
+        kids = down[check_sign(sign)][i] if sign is not None else down[POS][i] + down[NEG][i]
+        return tuple(self._nodes[j].key for j in kids)
 
     def parents(self, key: str, sign: str | None = None) -> tuple[str, ...]:
-        if sign is not None:
-            return tuple(self._parents[key][check_sign(sign)])
-        seen = dict.fromkeys(self._parents[key][POS] + self._parents[key][NEG])
-        return tuple(seen)
+        i = self._keyed()[key]
+        ups = self._up[check_sign(sign)][i] if sign is not None else _above(self, i)
+        return tuple(self._nodes[j].key for j in ups)
+
+
+def _above(poset: QuotientPoset, i: int) -> dict[int, None]:
+    """The parent positions of position i, each once, positive-sign parents first."""
+    return dict.fromkeys(poset._up[POS][i] + poset._up[NEG][i])
 
 
 # --- structural checks ------------------------------------------------------------
@@ -233,18 +293,16 @@ def structure_violations(poset: QuotientPoset) -> list[str]:
     and that stabilizations commute (the +- grandchild equals the -+
     grandchild for every node at least two rows above the floor).
     """
+    pos, neg = poset._down[POS], poset._down[NEG]
     out: list[str] = []
-    for n in poset:
+    for i, n in enumerate(poset):
         if n.tb > poset.tb_min:
-            for sign in (POS, NEG):
-                ch = poset.children(n.key, sign)
-                if len(ch) != 1:
-                    out.append(f"{n.key}: expected one {sign} child, found {len(ch)}")
-    for n in poset:
+            for sign, down in poset._down.items():
+                if len(down[i]) != 1:
+                    out.append(f"{n.key}: expected one {sign} child, found {len(down[i])}")
+    for i, n in enumerate(poset):
         if n.tb >= poset.tb_min + 2:
-            pm = {g for c in poset.children(n.key, POS) for g in poset.children(c, NEG)}
-            mp = {g for c in poset.children(n.key, NEG) for g in poset.children(c, POS)}
-            if pm != mp:
+            if {g for c in pos[i] for g in neg[c]} != {g for c in neg[i] for g in pos[c]}:
                 out.append(f"{n.key}: +- and -+ grandchildren differ")
     return out
 
@@ -259,7 +317,7 @@ def detect_peaks(poset: QuotientPoset) -> tuple[PosetNode, ...]:
     removes rows from below only), so the verdict is exact everywhere when
     the top level is global.
     """
-    return tuple(n for n in poset if not poset.parents(n.key))
+    return tuple(n for n, pos, neg in zip(poset, poset._up[POS], poset._up[NEG]) if not pos and not neg)
 
 
 def detect_valleys(poset: QuotientPoset) -> tuple[PosetNode, ...]:
@@ -269,14 +327,14 @@ def detect_valleys(poset: QuotientPoset) -> tuple[PosetNode, ...]:
     required parent rows are inside the window.
     """
     out = []
-    for n in poset:
+    for i, n in enumerate(poset):
         if n.tb > poset.top_tb - 2:
             continue
-        ps = poset.parents(n.key)
+        ps = _above(poset, i)
         if len(ps) < 2:
             continue
         for p1, p2 in itertools.combinations(ps, 2):
-            if not set(poset.parents(p1)) & set(poset.parents(p2)):
+            if _above(poset, p1).keys().isdisjoint(_above(poset, p2)):
                 out.append(n)
                 break
     return tuple(out)
@@ -287,24 +345,21 @@ def detect_valleys(poset: QuotientPoset) -> tuple[PosetNode, ...]:
 
 def nonsimple_points(poset: QuotientPoset) -> list[tuple[Point, int]]:
     """All window points with at least two classes, with their fiber sizes."""
-    return [
-        (pt, poset.fiber_size(*pt))
-        for pt in poset.points()
-        if poset.fiber_size(*pt) >= 2
-    ]
+    return [(pt, stop - start) for pt, (start, stop) in poset._at.items() if stop - start >= 2]
 
 
-def _ancestor_keys(poset: QuotientPoset, keys: Iterable[str]) -> set[str]:
-    """Strict ancestors (transitive parents) of the given nodes."""
-    seen: set[str] = set()
-    stack = [p for k in keys for p in poset.parents(k)]
-    while stack:
-        k = stack.pop()
-        if k in seen:
-            continue
-        seen.add(k)
-        stack.extend(poset.parents(k))
-    return seen
+def _maximal(poset: QuotientPoset, nonsimple: list[tuple[Point, int]]) -> list[Point]:
+    """The points of ``nonsimple`` whose classes have no strict ancestor at a nonsimple point.
+
+    Parents come before their children in window order, so one pass down
+    the window finds every node below a nonsimple point.
+    """
+    crowded = {i for pt, _size in nonsimple for i in range(*poset._at[pt])}
+    below: set[int] = set()
+    for i in range(poset._at[nonsimple[-1][0]][1] if nonsimple else 0):
+        if any(p in crowded or p in below for p in _above(poset, i)):
+            below.add(i)
+    return [pt for pt, _size in nonsimple if below.isdisjoint(range(*poset._at[pt]))]
 
 
 def find_nmax(poset: QuotientPoset) -> list[Point]:
@@ -314,13 +369,7 @@ def find_nmax(poset: QuotientPoset) -> list[Point]:
     the ancestor cone of any window point lies inside the window, so the
     verdict is global.
     """
-    out = []
-    for pt, _size in nonsimple_points(poset):
-        keys = [n.key for n in poset.fiber(*pt)]
-        above = _ancestor_keys(poset, keys)
-        if all(poset.fiber_size(*poset.node(k).point) == 1 for k in above):
-            out.append(pt)
-    return out
+    return _maximal(poset, nonsimple_points(poset))
 
 
 @dataclass(frozen=True)
@@ -359,17 +408,17 @@ def _is_image_valley(poset: QuotientPoset, pt: Point) -> bool:
 
 
 def classify_nmax_point(poset: QuotientPoset, pt: Point) -> DichotomyVerdict:
-    fiber = poset.fiber(*pt)
-    parentless = [n for n in fiber if not poset.parents(n.key)]
-    if parentless:
+    start, stop = poset._at.get(pt, (0, 0))
+    size = stop - start
+    if any(not poset._up[POS][i] and not poset._up[NEG][i] for i in range(start, stop)):
         if pt[0] == poset.top_tb and not poset.top_is_global:
             raise WindowTooShallow(
                 f"parentless verdict at {pt} needs the row above the window top"
             )
-        return DichotomyVerdict(pt, len(fiber), "case1")
-    if len(fiber) == 2 and _is_image_valley(poset, pt):
-        return DichotomyVerdict(pt, len(fiber), "case2")
-    return DichotomyVerdict(pt, len(fiber), "violation")
+        return DichotomyVerdict(pt, size, "case1")
+    if size == 2 and _is_image_valley(poset, pt):
+        return DichotomyVerdict(pt, size, "case2")
+    return DichotomyVerdict(pt, size, "violation")
 
 
 def check_nmax_dichotomy(poset: QuotientPoset) -> list[DichotomyVerdict]:
@@ -383,9 +432,10 @@ def check_nmax_dichotomy(poset: QuotientPoset) -> list[DichotomyVerdict]:
 
 
 def nonsimple_report(poset: QuotientPoset) -> NonsimpleReport:
+    nonsimple = nonsimple_points(poset)
     return NonsimpleReport(
         tb_min=poset.tb_min,
         top_tb=poset.top_tb,
-        nonsimple=tuple(nonsimple_points(poset)),
-        nmax=tuple(check_nmax_dichotomy(poset)),
+        nonsimple=tuple(nonsimple),
+        nmax=tuple(classify_nmax_point(poset, pt) for pt in _maximal(poset, nonsimple)),
     )

@@ -14,14 +14,16 @@ Both moves preserve the summed invariants
 so the quotient is graded by (tb, r).  A class is fixed by which peaks its
 factors hang from and how many positive and negative stabilizations sit
 below them; two such peak multisets are joined where one peak's cone meets
-its neighbour's at a valley.  Point by point, this module walks the
+its neighbour's at a valley, so the classes at a point are the components
+of those joins.  Where a point has several classes, this module walks its
 canonical tuples in canonical order, labelling each with the component of
 its peak-multiset generator, and stops once every component has its first
 tuple: that tuple is the class's representative and names its node.
 Windows of the quotient poset are assembled from those nodes, with edges
-led from the representatives.  A class's members are enumerated only when
-first read, in one pass over its point shared by all classes there, so only
-outputs that list members pay for them.
+led from component to component.  A one-class point's representative, and
+every class's members, are found only when first read, the members in one
+pass over the point shared by all classes there, so only outputs that name
+or list them pay for them.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSummand, MultiplicityMismatch, WindowEmpty
-from .poset import Edge, PosetNode, QuotientPoset
-from .ranges import NEG, POS, MountainRange, Peak, SimpleClass, _cone_coords, _level_points, r_step
+from .poset import PosetNode, QuotientPoset
+from .ranges import NEG, POS, MountainRange, Peak, SimpleClass, _cone_coords, _level_points
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,7 @@ class _Generators:
         # Per factor position: its range, the index of its first peak in a
         # generator, its top, and the bounds :meth:`tuples` enumerates within.
         self._slots: list[tuple[MountainRange, int, int, bool, int, int, int, int]] = []
-        self._moves: list[tuple[int, int]] = []  # (index of the left peak, alpha)
+        moves: list[tuple[int, int]] = []  # (index of the left peak, alpha)
         per_summand = []
         offset = 0
         other_top = spec.top_tb - (spec.n - 1)
@@ -227,7 +229,7 @@ class _Generators:
                 r_hi -= max(p.r + p.tb for p in rng.peaks)
                 r_lo -= min(p.r - p.tb for p in rng.peaks)
                 self._slots.append((rng, offset, rng.top_tb, k > 0, s.count - 1 - k, other_top, r_hi, r_lo))
-            self._moves.extend(
+            moves.extend(
                 (offset + v.left, v.r - rng.peaks[v.left].r) for v in rng.valleys()
             )
             per_summand.append([
@@ -236,13 +238,15 @@ class _Generators:
             ])
             offset += rng.peak_count
         peaks = [p for rng in spec.ranges for p in rng.peaks]
-        self._tops: list[tuple[Generator, Peak]] = []
+        # Per generator: its top, and the joins (alpha, moved generator) of its valley moves.
+        self._tops: list[tuple[Generator, Peak, list[tuple[int, Generator]]]] = []
         for parts in product(*per_summand):
             gen = sum(parts, ())
             tb = sum(c * p.tb for c, p in zip(gen, peaks)) + spec.n - 1
             r = sum(c * p.r for c, p in zip(gen, peaks))
-            self._tops.append((gen, Peak(tb, r)))
-        self._top_points = tuple((top.tb, top.r) for _gen, top in self._tops)
+            joins = [(alpha, gen[:k] + (gen[k] - 1, gen[k + 1] + 1) + gen[k + 2:]) for k, alpha in moves if gen[k]]
+            self._tops.append((gen, Peak(tb, r), joins))
+        self._top_points = tuple((top.tb, top.r) for _gen, top, _joins in self._tops)
         self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
         # One factor per (knot_id, tb, r), shared by every tuple this builder
         # makes, beside its label region: the index of the leftmost peak of
@@ -259,12 +263,12 @@ class _Generators:
         found = self._components.get((tb, r))
         if found is not None:
             return found
-        a_of: dict[Generator, int] = {}
-        for gen, top in self._tops:
+        present = []  # (generator, a, joins) of every generator at (tb, r)
+        for gen, top, joins in self._tops:
             ab = _cone_coords(top, tb, r)
             if ab is not None:
-                a_of[gen] = ab[0]
-        parent = {gen: gen for gen in a_of}
+                present.append((gen, ab[0], joins))
+        parent = {gen: gen for gen, _a, _joins in present}
 
         def find(x: Generator) -> Generator:
             while parent[x] != x:
@@ -272,14 +276,13 @@ class _Generators:
                 x = parent[x]
             return x
 
-        for gen, a in a_of.items():
-            for k, alpha in self._moves:
-                if gen[k] and a >= alpha:
-                    moved = gen[:k] + (gen[k] - 1, gen[k + 1] + 1) + gen[k + 2:]
+        for gen, a, joins in present:
+            for alpha, moved in joins:
+                if a >= alpha:
                     ra, rb = find(gen), find(moved)
                     if ra != rb:
                         parent[ra] = rb
-        found = {gen: find(gen) for gen in a_of}
+        found = {gen: find(gen) for gen in parent}
         self._components[(tb, r)] = found
         return found
 
@@ -404,21 +407,21 @@ class _Generators:
 def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator, PosetNode]]:
     """The classes of one fiber, each with the root of its generator component.
 
-    Tuples whose generators share a component form one class.  Each class is
-    a node keyed by its representative, its first tuple in the canonical
-    order :meth:`_Generators.tuples` yields; nodes come in representative
-    order.  The walk stops as soon as every component of the point has its
-    representative, so a one-class point takes its first tuple and labels
-    none.  Members expand on first access, from one pass over the point
-    shared by all its classes (:meth:`_Generators.members`).
+    Tuples whose generators share a component form one class, named by its
+    representative, its first tuple in the canonical order
+    :meth:`_Generators.tuples` yields.  A one-class point walks no tuple
+    until its representative is read.  Elsewhere a canonical prefix is
+    labelled until every component has its representative; nodes come in
+    representative order.  Members expand on first access, from one pass
+    over the point shared by all its classes (:meth:`_Generators.members`).
     """
     components = gens.components(tb, r)
     roots = set(components.values())
+    if len(roots) == 1:
+        (root,) = roots
+        return [(root, PosetNode._lazy(tb, r, lambda: next(gens.tuples(tb, r)), lambda: gens.members(tb, r)[root]))]
     reps: dict[Generator, TupleClass] = {}
-    for t in gens.tuples(tb, r):
-        if len(roots) == 1:
-            reps = {roots.pop(): t}
-            break
+    for t in gens.tuples(tb, r) if roots else ():
         reps.setdefault(components[gens.label(t.factors)], t)
         if len(reps) == len(roots):
             break
@@ -429,10 +432,7 @@ def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator, Pose
             members.update(gens.members(tb, r))
         return members[root]
 
-    return [
-        (root, PosetNode._lazy(t.id_string(), tb, r, t, functools.partial(expand, root)))
-        for root, t in reps.items()
-    ]
+    return [(root, PosetNode._lazy(tb, r, t, functools.partial(expand, root))) for root, t in reps.items()]
 
 
 def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
@@ -471,15 +471,15 @@ def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
 def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPoset:
     """The window of the quotient poset from its top level down to tb_min.
 
-    Nodes are the classes of every fiber, found point by point by labelling
-    a canonical prefix of the point's tuples with their generator components
-    until every component has its representative (see :func:`_partition`);
-    their members are expanded only when read.  Edges are the signed
-    stabilization steps between classes, led from each representative to
-    the class of its stabilized tuple; an edge into a one-class point goes
-    to that class without stabilizing or labelling anything.  ``workers`` >
-    1 runs the per-point partitioning on a thread pool; results are
-    identical to the serial order.
+    Nodes are the classes of every fiber, the components of the point's
+    generator joins (see :func:`_partition`); only a point with several
+    classes walks tuples at build time, to name its classes and order them
+    by key.  Edges are the signed stabilization steps between classes, led
+    from component to component: the class with root g at (tb, r) has its
+    +- child at the root of g at (tb - 1, r +- 1), because g's cone holds
+    that point and every join open at (tb, r) stays open below it.
+    ``workers`` > 1 runs the per-point partitioning on a thread pool;
+    results are identical to the serial order.
     """
     top = spec.top_tb
     if tb_min > top:
@@ -495,22 +495,25 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
         parts = [_partition(gens, *pt) for pt in order]
 
     nodes: list[PosetNode] = []
-    keys_at: dict[tuple[int, int], dict[Generator, str]] = {}
+    roots: list[Generator] = []
+    # Per point: the position of its one class, or its classes' positions by root.
+    where: dict[tuple[int, int], int | dict[Generator, int]] = {}
     for pt, classes in zip(order, parts):
-        keys_at[pt] = {root: node.key for root, node in classes}
-        nodes.extend(node for _root, node in classes)
-    edges: list[Edge] = []
-    for node in nodes:
-        if node.tb <= tb_min:
-            continue
-        for sign in (POS, NEG):
-            child = (node.tb - 1, node.r + r_step(sign))
-            keys = keys_at[child]
-            if len(keys) == 1:
-                (key,) = keys.values()
-            else:
-                rep = node.representative
-                moved = (rep.factors[0].stabilized(sign),) + rep.factors[1:]
-                key = keys[gens.components(*child)[gens.label(moved)]]
-            edges.append(Edge(node.key, sign, key))
-    return QuotientPoset(nodes, edges, tb_min, top, top_is_global=True)
+        if len(classes) == 1:
+            where[pt] = len(nodes)
+        else:
+            classes.sort(key=lambda c: c[1].key)
+            where[pt] = {root: len(nodes) + k for k, (root, _node) in enumerate(classes)}
+        for root, node in classes:
+            roots.append(root)
+            nodes.append(node)
+    steps: dict[str, list[list[int]]] = {POS: [], NEG: []}  # child positions per sign and node
+    for root, node in zip(roots, nodes):
+        for kids, step in ((steps[POS], 1), (steps[NEG], -1)):
+            if node.tb == tb_min:
+                kids.append([])
+                continue
+            child = (node.tb - 1, node.r + step)
+            at = where[child]
+            kids.append([at if isinstance(at, int) else at[gens.components(*child)[root]]])
+    return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)

@@ -96,3 +96,26 @@ def random_sums(draw, min_n: int = 2, max_n: int = 3, max_peaks: int = 4) -> L.S
             for knot_id, count in zip(("K", "L"), counts)
         ]
     )
+
+
+@st.composite
+def wide_step_sums(draw, max_n: int = 3, max_peaks: int = 3) -> L.SumSpec:
+    """Sums like :func:`random_sums` whose valley steps alpha and beta reach 8.
+
+    Each range is drawn as in :func:`mountain_ranges`, from a random first
+    peak, with alpha and beta in 1..8, so joins across a valley open only
+    deep below the peaks.
+    """
+    n = draw(st.integers(2, max_n))
+    first = draw(st.integers(1, n))
+    parts = []
+    for knot_id, count in zip(("K", "L"), [first] if first == n else [first, n - first]):
+        tb, r = draw(st.integers(-3, 1)), draw(st.integers(-5, 1))
+        peaks = [(tb, r)]
+        for _ in range(draw(st.integers(0, max_peaks - 1))):
+            alpha, beta = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+            tb, r = tb - alpha + beta, r + alpha + beta
+            peaks.append((tb, r))
+        genus = max(0, max(-(-(t + abs(q) + 1) // 2) for t, q in peaks))
+        parts.append((L.make_range(knot_id, peaks, genus), count))
+    return L.SumSpec.of(parts)

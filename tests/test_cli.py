@@ -293,6 +293,22 @@ def test_sum_window(capsys):
     assert payload["tb_min"] == -2
 
 
+def test_sum_text_formats_one_id_per_class(monkeypatch, capsys):
+    # Text prints sizes and keys only, so no member id is formatted.
+    calls = []
+    id_string = legsum.TupleClass.id_string
+
+    def counted(t):
+        calls.append(t)
+        return id_string(t)
+
+    monkeypatch.setattr(legsum.TupleClass, "id_string", counted)
+    rc, out, _ = run(capsys, "sum", "--spec", "U1,A", "--depth", "10", "--format", "text")
+    assert rc == 0
+    nodes = [row for row in out.splitlines() if row.startswith("node\t")]
+    assert len(nodes) == 87 and len(calls) == len(nodes)
+
+
 def test_fiber(capsys):
     rc, out, _ = run(capsys, "fiber", "--spec", "B:2", "--tb", "1", "--r", "0")
     assert rc == 0

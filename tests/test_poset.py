@@ -28,11 +28,15 @@ def b2_window(request):
 def test_constructor_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         fixture_poset([("x", 0, 0), ("x", 0, 2)], [], 0, 0)
+    with pytest.raises(ValueError, match="duplicate"):
+        fixture_poset([("y", 1, 1), ("x", 0, 0), ("x", 0, 0)], [], 0, 1)
 
 
 def test_constructor_rejects_out_of_window_nodes():
     with pytest.raises(ValueError, match="outside the window"):
         fixture_poset([("x", 3, 0)], [], 0, 2)
+    with pytest.raises(ValueError, match="outside the window"):
+        fixture_poset([("x", 2, 0), ("y", 1, 1), ("z", -1, 1)], [], 0, 2)
 
 
 def test_constructor_rejects_bad_edges():
@@ -46,6 +50,26 @@ def test_constructor_rejects_bad_edges():
         fixture_poset(
             [("x", 1, 0), ("y", 0, 1)], [("x", "?", "y")], 0, 1
         )
+
+
+def built_poset(nodes, pos, neg, tb_min=0, top_tb=1):
+    """A window handed over as a build does: nodes in window order, child positions per sign."""
+    return QuotientPoset([L.PosetNode(*n) for n in nodes], {"+": pos, "-": neg}, tb_min, top_tb)
+
+
+def test_built_windows_are_checked():
+    nodes = [("x", 1, 0), ("y", 0, -1), ("z", 0, 1)]
+    ok = built_poset(nodes, [[2], [], []], [[1], [], []])
+    assert ok.edges == (L.Edge("x", "+", "z"), L.Edge("x", "-", "y"))
+    assert ok.parents("z") == ("x",) and ok.children("x", "-") == ("y",)
+    with pytest.raises(ValueError, match="stabilization step"):
+        built_poset(nodes, [[1], [], []], [[2], [], []])
+    with pytest.raises(ValueError, match="duplicate"):
+        built_poset([("x", 1, 0), ("x", 1, 0)], [[], []], [[], []])
+    with pytest.raises(ValueError, match="window order"):
+        built_poset([("y", 0, -1), ("x", 1, 0)], [[], []], [[], []])
+    with pytest.raises(ValueError, match="outside the window"):
+        built_poset([("x", 2, 0)], [[]], [[]])
 
 
 def test_accessors(b2_window):
@@ -126,6 +150,17 @@ def test_find_nmax_B2(b2_window):
     assert verdicts == [L.DichotomyVerdict((1, 0), 2, "case1")]
 
 
+def test_find_nmax_looks_past_simple_parents():
+    # (0, 0) lies below the nonsimple top only through the simple point (1, 1).
+    fx = fixture_poset(
+        [("a1", 2, 0), ("a2", 2, 0), ("m", 1, 1), ("b1", 0, 0), ("b2", 0, 0)],
+        [("a1", "+", "m"), ("a2", "+", "m"), ("m", "-", "b1"), ("m", "-", "b2")],
+        tb_min=0,
+        top_tb=2,
+    )
+    assert L.find_nmax(fx) == [(2, 0)]
+
+
 def test_nmax_case2_below_top(cat):
     # four distinct top peaks, so nonsimplicity first appears strictly below
     # the top level, at an image valley with a two-class fiber
@@ -183,6 +218,20 @@ def test_nonsimple_report(cat, b2_window):
     rep2 = L.nonsimple_report(a2)
     assert rep2.simple
     assert rep2.nonsimple == () and rep2.nmax == ()
+
+
+def test_nonsimple_report_finds_each_set_once(monkeypatch, b2_window):
+    want = (tuple(L.nonsimple_points(b2_window)), tuple(L.check_nmax_dichotomy(b2_window)))
+    calls = []
+    for name in ("nonsimple_points", "find_nmax", "_maximal"):
+        def counted(*args, _name=name, _original=getattr(L.poset, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(L.poset, name, counted)
+    rep = L.nonsimple_report(b2_window)
+    assert (rep.nonsimple, rep.nmax) == want
+    assert sorted(calls) == ["_maximal", "nonsimple_points"]
 
 
 # --- node values ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,9 @@ from hypothesis import strategies as st
 
 import legsum as L
 from legsum import sums
+from legsum.cli import main
 
-from conftest import random_sums
+from conftest import random_sums, wide_step_sums
 from oracles import bfs_members, fiber_signatures, relation_neighbors, relation_window
 
 
@@ -430,6 +433,11 @@ def test_generator_quotient_matches_relation_oracle_on_random_ranges(spec, depth
     assert_matches_relation_oracle(spec, spec.top_tb - depth)
 
 
+@given(wide_step_sums(), st.integers(0, 10))
+def test_generator_quotient_matches_relation_oracle_on_wide_steps(spec, depth):
+    assert_matches_relation_oracle(spec, spec.top_tb - depth)
+
+
 # --- lazy members ----------------------------------------------------------------------------
 
 
@@ -462,6 +470,26 @@ def test_verdicts_and_figures_never_expand_members(monkeypatch, A, B):
             assert node.key == node.representative.id_string()
         # One pass per point, shared by every class there.
         assert len(expanded) == len(window.points())
+
+
+def test_classes_read_in_full_release_their_builder(monkeypatch, A, B):
+    made = []
+    init = sums._Generators.__init__
+
+    def recorded(gens, spec):
+        init(gens, spec)
+        made.append(weakref.ref(gens))
+
+    monkeypatch.setattr(sums._Generators, "__init__", recorded)
+    # A one-class point, whose representative is left unread, and a two-class point.
+    for parts, pt, count in (([(A, 2)], (-1, 0), 1), ([(B, 2)], (1, 0), 2)):
+        made.clear()
+        classes = L.enumerate_fiber(L.SumSpec.of(parts), *pt)
+        assert len(classes) == count and made[0]() is not None
+        for c in classes:
+            assert c.members
+        gc.collect()
+        assert made[0]() is None
 
 
 # --- per-tuple and per-edge work ---------------------------------------------------------------
@@ -497,6 +525,24 @@ def test_builds_label_only_tuples_of_multi_class_points(monkeypatch, A, B):
     spec = L.SumSpec.of([(A, 2), (B, 2)])
     L.build_quotient(spec, spec.top_tb - 8)
     assert labelled and min(labelled) > 1
+
+
+def test_verdicts_and_figures_walk_only_multi_class_points(monkeypatch, capsys, A, B):
+    walked = record_calls(monkeypatch, sums._Generators, "tuples")
+    for parts, text, depth in (([(A, 2), (B, 2)], "A:2,B:2", 8), ([(B, 3)], "B:3", 6)):
+        walked.clear()
+        window = ("--spec", text, "--depth", str(depth))
+        for argv in (("simple",) + window, ("nmax",) + window, ("render",) + window + ("--render", "svg")):
+            assert main(argv) == 0
+        capsys.readouterr()
+        spec = L.SumSpec.of(parts)
+        poset = L.build_quotient(spec, spec.top_tb - depth)
+        assert not L.nonsimple_report(poset).simple
+        assert L.render_svg(poset).startswith("<svg")
+        assert walked and all(len(set(gens.components(tb, r).values())) > 1 for gens, tb, r in walked)
+        for node in poset:
+            assert node.key == node.representative.id_string()
+        assert poset.edges == L.build_quotient(spec, poset.tb_min).edges
 
 
 def test_listing_members_tests_no_membership(monkeypatch, A, B):
