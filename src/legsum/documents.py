@@ -8,12 +8,12 @@ first, then the bundled catalog.
 
 Serialization is canonical everywhere: object keys sorted, two-space
 indent, trailing newline; parsing then serializing a document yields the
-canonical form of the same content.  :func:`dump_json` writes that text with
-a small recursive writer rather than ``json.dumps``, whose indented output
-runs the standard library's pure-Python encoder before Python 3.13.  The
-bytes are the same as ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
-newline for every value that accepts, and the writer raises the same
-exception type for every value it rejects.
+canonical form of the same content.  :func:`dump_json` writes the bytes of
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.  Its own
+recursive writer covers what legsum payloads hold (exact ``str``, ``int``,
+``list``, ``tuple`` and ``str``-keyed dicts), since indented ``json.dumps``
+runs the standard library's pure-Python encoder before Python 3.13; every
+other value is handed to ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -37,61 +37,32 @@ from .sums import SumSpec, TupleClass
 
 
 _escape = json.encoder.encode_basestring_ascii
-_INFINITY = float("inf")
 
 
 def dump_json(obj) -> str:
     """Canonical JSON text: sorted keys, indented, newline-terminated.
 
-    Byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for
-    every value ``json.dumps`` accepts: strings escaped to ASCII by the C
-    ``json.encoder.encode_basestring_ascii``, floats, ``NaN``, infinities
-    and non-string keys written as it writes them.  A value it rejects
-    raises the same exception type: ``TypeError`` for an unserializable
-    value or key, ``ValueError`` for a circular reference.  Each container
-    is one ``str.join`` of its items' texts (:func:`_encode`).
+    Byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, and
+    the same exception type where that raises: ``TypeError`` for an
+    unserializable value or key, ``ValueError`` for a circular reference.
+    :func:`_encode` writes exact ``str``, ``int``, ``list`` and ``tuple``
+    values and ``str``-keyed dicts itself, each container as one
+    ``str.join``; every other value goes to ``json.dumps``.
     """
     return _encode(obj, "\n", {}) + "\n"
-
-
-def _float_text(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INFINITY:
-        return "Infinity"
-    if o == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
-def _key_text(key) -> str:
-    """The escaped text of a dict key: a string, or a number or constant written as one."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _float_text(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return _escape(key)
 
 
 def _encode(o, nl: str, markers: dict) -> str:
     """The JSON text of ``o`` nested where a new line starts with ``nl``.
 
-    Exact ``str``, ``int``, ``dict``, ``list`` and ``tuple`` values take a
-    fast path; anything else is tested in the standard encoder's order, so
-    ``True`` is not ``1`` and a subclass is written as its base value.
-    ``markers`` holds the ids of the containers being written, to reject a
-    circular reference.  A list whose first item is a string is tried as
-    all strings, escaped and joined in one ``str.join``.
+    The fast path covers what legsum payloads hold: exact ``str``, ``int``,
+    ``list`` and ``tuple`` values, and dicts whose first sorted key is a
+    ``str``.  A list whose first item is a string is tried as all strings,
+    escaped and joined in one ``str.join``.  ``markers`` holds the ids of the
+    containers being written, to reject a circular reference.  Any other
+    value (``bool``, ``None``, floats, subclasses, other keys) is written by
+    ``json.dumps`` with each newline replaced by ``nl``; that is safe because
+    its ASCII output escapes every newline inside a string.
     """
     kind = type(o)
     if kind is str:
@@ -99,39 +70,26 @@ def _encode(o, nl: str, markers: dict) -> str:
     if kind is int:
         return int.__repr__(o)
     if kind is dict:
-        is_dict = True
+        if not o:
+            return "{}"
+        pairs = sorted(o.items())
+        if type(pairs[0][0]) is not str:
+            return json.dumps(o, sort_keys=True, indent=2).replace("\n", nl)
     elif kind is list or kind is tuple:
-        is_dict = False
-    elif isinstance(o, str):
-        return _escape(o)
-    elif o is None:
-        return "null"
-    elif o is True:
-        return "true"
-    elif o is False:
-        return "false"
-    elif isinstance(o, int):
-        return int.__repr__(o)
-    elif isinstance(o, float):
-        return _float_text(o)
-    elif isinstance(o, (list, tuple)):
-        is_dict = False
-    elif isinstance(o, dict):
-        is_dict = True
+        if not o:
+            return "[]"
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-    if not o:
-        return "{}" if is_dict else "[]"
+        return json.dumps(o, sort_keys=True, indent=2).replace("\n", nl)
     marker = id(o)
     if marker in markers:
         raise ValueError("Circular reference detected")
     markers[marker] = o
     inner = nl + "  "
-    if is_dict:
+    if kind is dict:
         items = []
-        for key, value in sorted(o.items()):
+        for key, value in pairs:
             kind = type(value)
-            items.append((_escape(key) if type(key) is str else _key_text(key)) + ": " + (
+            items.append(_escape(key) + ": " + (
                 _escape(value) if kind is str else
                 int.__repr__(value) if kind is int else
                 _encode(value, inner, markers)

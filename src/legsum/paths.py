@@ -17,8 +17,7 @@ on a factor tuple.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -218,28 +217,14 @@ def check_multipath(
         if not _valid_level([w.letters[k] for w in words]):
             return False
 
-    ends = []
-    for w, f in zip(words, start.factors):
-        rng = spec.range_of(f.knot_id)
-        ends.append(realize(w, rng, f))
-
-    # admissible permutations act within equal-knot position blocks
-    blocks: dict[str, list[int]] = {}
-    for i, f in enumerate(start.factors):
-        blocks.setdefault(f.knot_id, []).append(i)
-    for i, f in enumerate(end.factors):
-        if start.factors[i].knot_id != f.knot_id:
-            return False
-    per_block = [
-        list(itertools.permutations(idx)) for idx in blocks.values()
-    ]
-    for combo in itertools.product(*per_block):
-        sigma: dict[int, int] = {}
-        for idx, perm in zip(blocks.values(), combo):
-            sigma.update(dict(zip(idx, perm)))
-        if all(end.factors[sigma[i]] in ends[i] for i in range(n)):
-            return True
-    return False
+    # each word lands on at most one factor (steps are partial functions),
+    # so the ends match ``end`` up to a permutation of equal-knot positions
+    # exactly when every word lands and the landings equal the end factors
+    # as a multiset
+    ends = [realize(w, spec.range_of(f.knot_id), f) for w, f in zip(words, start.factors)]
+    if not all(ends) or any(s.knot_id != e.knot_id for s, e in zip(start.factors, end.factors)):
+        return False
+    return Counter(f for landed in ends for f in landed) == Counter(end.factors)
 
 
 # --- pairwise transport search ------------------------------------------------------------

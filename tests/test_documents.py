@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legsum as L
+from legsum.cli import main
 from legsum.documents import (
     catalog,
     class_obj,
@@ -108,6 +109,24 @@ def test_dump_json_matches_json_dumps_on_subclasses_and_errors():
         want = outcome(json_dumps_reference, value)
         assert outcome(dump_json, value) == want, value
     assert [outcome(dump_json, v) for v in values[4:]] == [TypeError] * 6 + [ValueError] * 2
+
+
+def test_dump_json_hands_only_foreign_values_to_json_dumps(monkeypatch, capsys):
+    calls = []
+    real_dumps = json.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr("legsum.documents.json.dumps", counted)
+    assert main(["sum", "--spec", "A:2,B:2", "--depth", "8", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["node_count"] > 0
+    assert calls == []
+    # nested containers written by json.dumps must take the outer indent
+    foreign = {"flags": [True, None], "half": 0.5, "nested": [OrderedDict(b=[1], a="x")], "numbered": {1: [2]}}
+    assert dump_json(foreign) == real_dumps(foreign, sort_keys=True, indent=2) + "\n"
+    assert [type(value) for value in calls] == [bool, type(None), float, OrderedDict, dict]
 
 
 # --- knot documents ---------------------------------------------------------------

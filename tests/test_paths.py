@@ -199,6 +199,36 @@ def test_multipath_needs_permutation(A, B):
     assert L.check_multipath(spec, words, start, end)
 
 
+def test_multipath_permutes_within_a_block_of_two_summands(A, B):
+    spec = L.SumSpec.of([(A, 2), (B, 1)])
+    b = B.point(-1, 1)
+    start = L.canonicalize_tuple(spec, [A.point(-1, -1), A.point(0, 2), b])
+    end = L.canonicalize_tuple(spec, [A.point(0, -2), A.point(-1, 3), b])
+    words = [
+        PathWord((PathLetter("+", 1),)),
+        PathWord((PathLetter("+", -1),)),
+        PathWord((PathLetter("0", 1),)),
+    ]
+    landed = [L.realize(w, spec.range_of(f.knot_id), f) for w, f in zip(words, start.factors)]
+    # the A words land on the A end factors only in swapped order
+    assert [end.factors[1], end.factors[0], b] == [next(iter(e)) for e in landed]
+    assert L.check_multipath(spec, words, start, end)
+    other = L.canonicalize_tuple(spec, [A.point(0, -2), A.point(-1, 3), B.point(-1, -1)])
+    assert not L.check_multipath(spec, words, start, other)
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_multipath_is_fast_on_large_blocks(A, n):
+    # listing the n! permutations of the A block would never finish here
+    spec = L.SumSpec.of([(A, n)])
+    points = [A.point(0, -2), A.point(0, 2), A.point(-1, -1), A.point(-1, 1), A.point(-1, 3)]
+    start = L.canonicalize_tuple(spec, [points[i % 5] for i in range(n)])
+    moved = L.canonicalize_tuple(spec, [points[i % 5] for i in range(n - 1)] + [A.point(-2, 0)])
+    words = [PathWord(())] * n
+    assert L.check_multipath(spec, words, start, start)
+    assert not L.check_multipath(spec, words, start, moved)
+
+
 # --- connecting-path search ------------------------------------------------------------
 
 
