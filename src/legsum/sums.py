@@ -13,8 +13,8 @@ Both moves preserve the summed invariants
 
 so the quotient is graded by (tb, r).  A class is fixed by which peaks its
 factors hang from and how many positive and negative stabilizations sit
-below them; two such peak multisets are joined where one peak's cone meets
-its neighbour's at a valley, so the classes at a point are the components
+below them; two such peak multisets one valley move apart are joined at a
+point where both are present, so the classes at a point are the components
 of those joins.  Where a point has several classes, this module walks its
 canonical tuples in canonical order, labelling each with the component of
 its peak-multiset generator, and stops once every component has its first
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSummand, MultiplicityMismatch, WindowEmpty
 from .poset import PosetNode, QuotientPoset
-from .ranges import NEG, POS, MountainRange, Peak, SimpleClass, _cone_coords, _level_points
+from .ranges import NEG, POS, MountainRange, SimpleClass, _level_points
 
 
 @dataclass(frozen=True)
@@ -205,19 +205,25 @@ class _Generators:
     point of ``P``, so ``P`` alone names the generator there.  Moving one copy
     of summand peak j to peak j + 1 crosses their valley, which the left peak
     reaches by alpha positive steps and the right one by beta negative
-    steps; it joins ``(P, a, b)`` to ``(P', a - alpha, b + beta)`` when
-    ``a >= alpha``.  The classes at a point are the components of these
-    joins, computed once per point and cached; a point computed twice by
-    concurrent callers gets the same components both times.  The canonical
-    tuples of a point come from :meth:`tuples`.
+    steps; it joins ``P`` to the moved ``P'`` at every point where both are
+    present.  That is the valley test ``a >= alpha``.  Write u = tb + r and
+    v = tb - r, and U(P), V(P) for those of the summed peak point of ``P``.
+    ``P`` is present at a point of the sum's parity iff u <= U(P) and
+    v <= V(P), and then a = (V(P) - v) / 2.  The move adds 2 beta to U and
+    takes 2 alpha from V, so where ``P`` is present, ``P'`` is present iff
+    a >= alpha.  The classes at a point are the components of these joins,
+    computed once per point and cached; a point computed twice by concurrent
+    callers gets the same components both times.  The canonical tuples of a
+    point come from :meth:`tuples`.
     """
 
     def __init__(self, spec: SumSpec) -> None:
         self._width = sum(rng.peak_count for rng in spec.ranges)
+        self._parity = spec.point_parity
         # Per factor position: its range, the index of its first peak in a
         # generator, its top, and the bounds :meth:`tuples` enumerates within.
         self._slots: list[tuple[MountainRange, int, int, bool, int, int, int, int]] = []
-        moves: list[tuple[int, int]] = []  # (index of the left peak, alpha)
+        moves: list[int] = []  # the index of the left peak of each valley
         per_summand = []
         offset = 0
         other_top = spec.top_tb - (spec.n - 1)
@@ -229,24 +235,22 @@ class _Generators:
                 r_hi -= max(p.r + p.tb for p in rng.peaks)
                 r_lo -= min(p.r - p.tb for p in rng.peaks)
                 self._slots.append((rng, offset, rng.top_tb, k > 0, s.count - 1 - k, other_top, r_hi, r_lo))
-            moves.extend(
-                (offset + v.left, v.r - rng.peaks[v.left].r) for v in rng.valleys()
-            )
+            moves.extend(range(offset, offset + rng.peak_count - 1))
             per_summand.append([
                 tuple(combo.count(j) for j in range(rng.peak_count))
                 for combo in combinations_with_replacement(range(rng.peak_count), s.count)
             ])
             offset += rng.peak_count
         peaks = [p for rng in spec.ranges for p in rng.peaks]
-        # Per generator: its top, and the joins (alpha, moved generator) of its valley moves.
-        self._tops: list[tuple[Generator, Peak, list[tuple[int, Generator]]]] = []
+        # Per generator: its top (tb, r), and the generators its valley moves reach.
+        self._tops: list[tuple[Generator, int, int, list[Generator]]] = []
         for parts in product(*per_summand):
             gen = sum(parts, ())
             tb = sum(c * p.tb for c, p in zip(gen, peaks)) + spec.n - 1
             r = sum(c * p.r for c, p in zip(gen, peaks))
-            joins = [(alpha, gen[:k] + (gen[k] - 1, gen[k + 1] + 1) + gen[k + 2:]) for k, alpha in moves if gen[k]]
-            self._tops.append((gen, Peak(tb, r), joins))
-        self._top_points = tuple((top.tb, top.r) for _gen, top, _joins in self._tops)
+            moved = [gen[:k] + (gen[k] - 1, gen[k + 1] + 1) + gen[k + 2:] for k in moves if gen[k]]
+            self._tops.append((gen, tb, r, moved))
+        self._top_points = tuple((tb, r) for _gen, tb, r, _moved in self._tops)
         self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
         # One factor per (knot_id, tb, r), shared by every tuple this builder
         # makes, beside its label region: the index of the leftmost peak of
@@ -263,12 +267,12 @@ class _Generators:
         found = self._components.get((tb, r))
         if found is not None:
             return found
-        present = []  # (generator, a, joins) of every generator at (tb, r)
-        for gen, top, joins in self._tops:
-            ab = _cone_coords(top, tb, r)
-            if ab is not None:
-                present.append((gen, ab[0], joins))
-        parent = {gen: gen for gen, _a, _joins in present}
+        # (generator, moved generators) of each generator present at (tb, r): at a
+        # point of the sum's parity, each whose top's r is within its tb drop of r.
+        present = [
+            (gen, moved) for gen, top_tb, top_r, moved in self._tops if abs(r - top_r) <= top_tb - tb
+        ] if (tb + r) % 2 == self._parity else []
+        parent = {gen: gen for gen, _moved in present}
 
         def find(x: Generator) -> Generator:
             while parent[x] != x:
@@ -276,12 +280,10 @@ class _Generators:
                 x = parent[x]
             return x
 
-        for gen, a, joins in present:
-            for alpha, moved in joins:
-                if a >= alpha:
-                    ra, rb = find(gen), find(moved)
-                    if ra != rb:
-                        parent[ra] = rb
+        for gen, moved in present:
+            for other in moved:
+                if other in parent:
+                    parent[find(gen)] = find(other)
         found = {gen: find(gen) for gen in parent}
         self._components[(tb, r)] = found
         return found
@@ -477,7 +479,8 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     by key.  Edges are the signed stabilization steps between classes, led
     from component to component: the class with root g at (tb, r) has its
     +- child at the root of g at (tb - 1, r +- 1), because g's cone holds
-    that point and every join open at (tb, r) stays open below it.
+    that point, and two generators both present at (tb, r) are both present
+    below it, so every join open at (tb, r) stays open there.
     ``workers`` > 1 runs the per-point partitioning on a thread pool;
     results are identical to the serial order.
     """
@@ -496,15 +499,12 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
 
     nodes: list[PosetNode] = []
     roots: list[Generator] = []
-    # Per point: the position of its one class, or its classes' positions by root.
-    where: dict[tuple[int, int], int | dict[Generator, int]] = {}
-    for pt, classes in zip(order, parts):
-        if len(classes) == 1:
-            where[pt] = len(nodes)
-        else:
+    where: dict[tuple[int, int, Generator], int] = {}  # position of each class by (tb, r, root)
+    for (tb, r), classes in zip(order, parts):
+        if len(classes) > 1:
             classes.sort(key=lambda c: c[1].key)
-            where[pt] = {root: len(nodes) + k for k, (root, _node) in enumerate(classes)}
         for root, node in classes:
+            where[tb, r, root] = len(nodes)
             roots.append(root)
             nodes.append(node)
     steps: dict[str, list[list[int]]] = {POS: [], NEG: []}  # child positions per sign and node
@@ -514,6 +514,5 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
                 kids.append([])
                 continue
             child = (node.tb - 1, node.r + step)
-            at = where[child]
-            kids.append([at if isinstance(at, int) else at[gens.components(*child)[root]]])
+            kids.append([where[(*child, gens.components(*child)[root])]])
     return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)

@@ -12,7 +12,9 @@ algorithm than the library uses:
   representation of a point;
 * quotient windows via union-find over every canonical tuple under the
   relation moves themselves (:func:`relation_neighbors`) instead of the
-  generator quotient.
+  generator quotient;
+* generator classes via the valley-depth join test ``a >= alpha`` on cone
+  coordinates instead of the presence of both generators.
 """
 
 from __future__ import annotations
@@ -277,3 +279,49 @@ def relation_window(spec: L.SumSpec, tb_min: int) -> L.QuotientPoset:
             moved = (rep.factors[0].stabilized(sign),) + rep.factors[1:]
             edges.append(L.Edge(node.key, sign, locate[L.canonicalize_tuple(spec, moved)]))
     return L.QuotientPoset(nodes, edges, tb_min, spec.top_tb, top_is_global=True)
+
+
+# --- generator classes by valley depth ---------------------------------------------
+
+
+def valley_depth_classes(spec: L.SumSpec, tb: int, r: int) -> set[frozenset[tuple[int, ...]]]:
+    """The peak-multiset generators at (tb, r), partitioned by valley-depth joins.
+
+    A generator is a flat tuple of copy counts, one slot per (summand, peak).
+    It is present where its summed peak point's cone holds (tb, r), with cone
+    coordinates (a, b).  Moving one copy across a valley whose left peak
+    lies alpha positive steps above it joins the two generators when
+    ``a >= alpha``.
+    """
+    per_summand = [
+        [
+            tuple(combo.count(j) for j in range(rng.peak_count))
+            for combo in itertools.combinations_with_replacement(range(rng.peak_count), s.count)
+        ]
+        for s, rng in zip(spec.summands, spec.ranges)
+    ]
+    peaks = [p for rng in spec.ranges for p in rng.peaks]
+    depths = []  # (slot of the valley's left peak, alpha)
+    offset = 0
+    for rng in spec.ranges:
+        depths.extend((offset + v.left, rng.peaks[v.left].tb - v.tb) for v in rng.valleys())
+        offset += rng.peak_count
+    coords = {}
+    for parts in itertools.product(*per_summand):
+        gen = sum(parts, ())
+        top = L.ranges.Peak(
+            sum(c * p.tb for c, p in zip(gen, peaks)) + spec.n - 1,
+            sum(c * p.r for c, p in zip(gen, peaks)),
+        )
+        ab = L.ranges._cone_coords(top, tb, r)
+        if ab is not None:
+            coords[gen] = ab
+    dsu = _DSU(coords)
+    for gen, (a, _b) in coords.items():
+        for k, alpha in depths:
+            if gen[k] and a >= alpha:
+                dsu.union(gen, gen[:k] + (gen[k] - 1, gen[k + 1] + 1) + gen[k + 2:])
+    groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for gen in coords:
+        groups.setdefault(dsu.find(gen), set()).add(gen)
+    return {frozenset(g) for g in groups.values()}

@@ -632,6 +632,28 @@ def test_console_entry_reads_sys_argv(capsys):
     assert bare.returncode == 2
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_run_in_a_shell(tmp_path):
+    # Each `legsum ...` line of the README's sh blocks, run as written by sh.
+    lines, in_sh = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("legsum "):
+            lines.append(line)
+    assert len(lines) == 13
+    src = str(Path(legsum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for line in lines:
+        command = f'"{sys.executable}" -m legsum.cli' + line[len("legsum"):]
+        done = subprocess.run(
+            ["sh", "-c", command], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, (line, done.stderr)
+
+
 # --- window dump bytes ------------------------------------------------------------
 
 WINDOW_DUMP_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "window_dump.sha256.json"

@@ -16,8 +16,8 @@ import legsum as L
 from legsum import sums
 from legsum.cli import main
 
-from conftest import random_sums, wide_step_sums
-from oracles import bfs_members, fiber_signatures, relation_neighbors, relation_window
+from conftest import make_grid_specs, random_sums, wide_step_sums
+from oracles import bfs_members, fiber_signatures, relation_neighbors, relation_window, valley_depth_classes
 
 
 def fiber_as_signatures(classes: list[L.PosetNode]) -> set[frozenset[str]]:
@@ -438,6 +438,32 @@ def test_generator_quotient_matches_relation_oracle_on_wide_steps(spec, depth):
     assert_matches_relation_oracle(spec, spec.top_tb - depth)
 
 
+def assert_presence_joins_match_valley_depths(spec: L.SumSpec, depth: int) -> None:
+    """Check generator classes against the valley-depth oracle on the top depth + 1 levels.
+
+    Every r from one step left of a level to one step right of it is
+    compared, so absent points and points of the other parity are too.
+    """
+    gens = sums._Generators(spec)
+    for tb in range(spec.top_tb, spec.top_tb - depth - 1, -1):
+        level = gens.level_points(tb)
+        for r in range(level[0] - 1, level[-1] + 2):
+            groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+            for gen, root in gens.components(tb, r).items():
+                groups.setdefault(root, set()).add(gen)
+            assert {frozenset(g) for g in groups.values()} == valley_depth_classes(spec, tb, r), (spec.label(), tb, r)
+
+
+def test_presence_joins_match_valley_depths_on_grid(cat):
+    for spec in make_grid_specs(cat, 5):
+        assert_presence_joins_match_valley_depths(spec, 8)
+
+
+@given(st.one_of(random_sums(max_n=5), wide_step_sums(max_n=5)), st.integers(0, 12))
+def test_presence_joins_match_valley_depths_on_random_ranges(spec, depth):
+    assert_presence_joins_match_valley_depths(spec, depth)
+
+
 # --- lazy members ----------------------------------------------------------------------------
 
 
@@ -558,7 +584,7 @@ def test_labels_read_the_factor_table(monkeypatch, A, B):
     gens = sums._Generators(spec)
     points = [(tb, r) for tb in range(spec.top_tb, spec.top_tb - 7, -1) for r in gens.level_points(tb)]
     tuples = [t for pt in points for t in gens.tuples(*pt)]
-    cones = record_calls(monkeypatch, sums, "_cone_coords")
+    cones = record_calls(monkeypatch, L.ranges, "_cone_coords")
     interned = record_calls(monkeypatch, sums._Generators, "_intern")
     labels = [gens.label(t.factors) for t in tuples]
     assert cones == [] and interned == []
