@@ -410,7 +410,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     Every subcommand is registered, so top-level usage, help and "invalid
     choice" errors never change; but only ``command``'s subparser gets its
-    options and handler.  ``None`` builds them all.
+    ``-h``, options and handler, since no other can act on them.  ``None``
+    builds them all.
     """
     parser = argparse.ArgumentParser(
         prog="legsum",
@@ -434,8 +435,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ("nmax", cmd_nmax, dict(spec=True, knot=True, window=True), "maximal nonsimple points and their dichotomy"),
     ]
     for name, fn, flags, help_text in table:
-        sub = subs.add_parser(name, help=help_text)
-        if command is None or command == name:
+        invoked = command is None or command == name
+        sub = subs.add_parser(name, help=help_text, add_help=invoked)
+        if invoked:
             _add_common(sub, **flags)
             sub.set_defaults(func=fn)
     return parser

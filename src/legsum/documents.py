@@ -283,11 +283,14 @@ def to_jsonable(obj):
     if isinstance(obj, TupleClass):
         return tuple_obj(obj)
     if isinstance(obj, PosetNode):
+        # Members first: a one-class node's key then comes from the listing,
+        # not from a second walk of its point.
+        members = obj.members
         return {
             "id": obj.key,
             "point": [obj.tb, obj.r],
-            "size": obj.size,
-            "members": [t.id_string() for t in obj.members],
+            "size": len(members),
+            "members": [t.id_string() for t in members],
         }
     if isinstance(obj, QuotientPoset):
         return {

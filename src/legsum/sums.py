@@ -213,8 +213,20 @@ class _Generators:
     takes 2 alpha from V, so where ``P`` is present, ``P'`` is present iff
     a >= alpha.  The classes at a point are the components of these joins,
     computed once per point and cached; a point computed twice by concurrent
-    callers gets the same components both times.  The canonical tuples of a
-    point come from :meth:`tuples`.
+    callers gets the same components both times.
+
+    Most points need no joins.  Let U_min and V_min be the least U and V of
+    the generator tops: those of the all-leftmost and the all-rightmost
+    generator, since a move right adds to U and a move left adds to V.  At a
+    point of the sum with u <= U_min, every present generator reaches the
+    all-leftmost one by left moves; each left move raises V and lowers U,
+    so every step stays present (v <= V, u <= U_min <= U) and the point has
+    one class.  With v <= V_min the same holds for right moves and the
+    all-rightmost generator.  So a point of the sum has several classes
+    only inside the box u > U_min, v > V_min (:meth:`boxed`), and only
+    there are components computed.  The lemma says nothing of points
+    outside the sum, which have no class.  The canonical tuples of a point
+    come from :meth:`tuples`.
     """
 
     def __init__(self, spec: SumSpec) -> None:
@@ -251,6 +263,8 @@ class _Generators:
             moved = [gen[:k] + (gen[k] - 1, gen[k + 1] + 1) + gen[k + 2:] for k in moves if gen[k]]
             self._tops.append((gen, tb, r, moved))
         self._top_points = tuple((tb, r) for _gen, tb, r, _moved in self._tops)
+        self.U_min = min(tb + r for tb, r in self._top_points)
+        self.V_min = min(tb - r for tb, r in self._top_points)
         self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
         # One factor per (knot_id, tb, r), shared by every tuple this builder
         # makes, beside its label region: the index of the leftmost peak of
@@ -261,6 +275,21 @@ class _Generators:
     def level_points(self, tb: int) -> tuple[int, ...]:
         """The r values of the sum's points at level tb: the cone slices of the generator tops."""
         return _level_points(self._top_points, tb)
+
+    def boxed(self, tb: int, r: int) -> bool:
+        """Whether (tb, r) lies in the box u > U_min, v > V_min, outside which a point of the sum has one class."""
+        return tb + r > self.U_min and tb - r > self.V_min
+
+    def roots(self, tb: int, r: int) -> tuple[dict[Generator, Generator], set[Generator | None]]:
+        """The components at a point of the sum and the set of their roots.
+
+        Outside the box the point has one class, with root ``None``, and no
+        components are computed.
+        """
+        if not self.boxed(tb, r):
+            return {}, {None}
+        components = self.components(tb, r)
+        return components, set(components.values())
 
     def components(self, tb: int, r: int) -> dict[Generator, Generator]:
         """Every generator at (tb, r), mapped to the root of its component."""
@@ -315,13 +344,12 @@ class _Generators:
                 break
         return self._factors.setdefault(key, (SimpleClass(*key), region))
 
-    def members(self, tb: int, r: int) -> dict[Generator, tuple[TupleClass, ...]]:
-        """The canonical tuples at (tb, r) grouped by component root, in canonical order.
+    def members(self, tb: int, r: int) -> dict[Generator | None, tuple[TupleClass, ...]]:
+        """The canonical tuples at a point of the sum grouped by root (see :meth:`roots`), in canonical order.
 
         One pass over the point; a one-class point labels no tuple.
         """
-        components = self.components(tb, r)
-        roots = set(components.values())
+        components, roots = self.roots(tb, r)
         if len(roots) == 1:
             return {roots.pop(): tuple(self.tuples(tb, r))}
         groups: dict[Generator, list[TupleClass]] = {}
@@ -406,8 +434,8 @@ class _Generators:
                     ))
 
 
-def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator, PosetNode]]:
-    """The classes of one fiber, each with the root of its generator component.
+def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator | None, PosetNode]]:
+    """The classes at one point of the sum, each with its root (see :meth:`_Generators.roots`).
 
     Tuples whose generators share a component form one class, named by its
     representative, its first tuple in the canonical order
@@ -417,13 +445,12 @@ def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator, Pose
     representative order.  Members expand on first access, from one pass
     over the point shared by all its classes (:meth:`_Generators.members`).
     """
-    components = gens.components(tb, r)
-    roots = set(components.values())
+    components, roots = gens.roots(tb, r)
     if len(roots) == 1:
         (root,) = roots
         return [(root, PosetNode._lazy(tb, r, lambda: next(gens.tuples(tb, r)), lambda: gens.members(tb, r)[root]))]
     reps: dict[Generator, TupleClass] = {}
-    for t in gens.tuples(tb, r) if roots else ():
+    for t in gens.tuples(tb, r):
         reps.setdefault(components[gens.label(t.factors)], t)
         if len(reps) == len(roots):
             break
@@ -441,9 +468,12 @@ def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
     """All equivalence classes with summed invariants exactly (tb, r).
 
     Only the tuples of this one point are walked, and each class's members
-    only when first read.
+    only when first read.  A point outside the sum has none.
     """
-    return [node for _root, node in _partition(_Generators(spec), tb, r)]
+    gens = _Generators(spec)
+    if r not in gens.level_points(tb):
+        return []
+    return [node for _root, node in _partition(gens, tb, r)]
 
 
 def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
@@ -480,7 +510,10 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     from component to component: the class with root g at (tb, r) has its
     +- child at the root of g at (tb - 1, r +- 1), because g's cone holds
     that point, and two generators both present at (tb, r) are both present
-    below it, so every join open at (tb, r) stays open there.
+    below it, so every join open at (tb, r) stays open there.  A point
+    outside the box of :meth:`_Generators.boxed` has one class with root
+    ``None`` and computes no joins; u and v only fall going down, so its
+    children lie outside the box too.
     ``workers`` > 1 runs the per-point partitioning on a thread pool;
     results are identical to the serial order.
     """
@@ -498,8 +531,8 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
         parts = [_partition(gens, *pt) for pt in order]
 
     nodes: list[PosetNode] = []
-    roots: list[Generator] = []
-    where: dict[tuple[int, int, Generator], int] = {}  # position of each class by (tb, r, root)
+    roots: list[Generator | None] = []
+    where: dict[tuple[int, int, Generator | None], int] = {}  # position of each class by (tb, r, root)
     for (tb, r), classes in zip(order, parts):
         if len(classes) > 1:
             classes.sort(key=lambda c: c[1].key)
@@ -514,5 +547,5 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
                 kids.append([])
                 continue
             child = (node.tb - 1, node.r + step)
-            kids.append([where[(*child, gens.components(*child)[root])]])
+            kids.append([where[(*child, gens.components(*child)[root] if gens.boxed(*child) else None)]])
     return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through the programmatic entry point."""
 
 import argparse
+import collections
 import hashlib
 import json
 import os
@@ -332,6 +333,32 @@ def test_fiber_empty_point(capsys):
     assert "classes\t0" in out
 
 
+def test_fiber_outside_the_sum(capsys):
+    # Wrong parity, and a point outside every cone: both lie outside the box
+    # too, where a point of the sum would have one class.
+    for point in (("--tb=-6", "--r=0"), ("--tb=5", "--r=-100")):
+        rc, out, err = run(capsys, "fiber", "--spec", "A,B", *point)
+        assert (rc, err) == (0, "")
+        assert "classes\t0\n" in out
+
+
+def test_sum_json_walks_each_one_class_point_once(monkeypatch, capsys):
+    walked = collections.Counter()
+    tuples = legsum.sums._Generators.tuples
+
+    def counted(gens, tb, r):
+        walked[tb, r] += 1
+        return tuples(gens, tb, r)
+
+    monkeypatch.setattr(legsum.sums._Generators, "tuples", counted)
+    rc, out, _ = run(capsys, "sum", "--spec", "A:2,B:2", "--depth", "6", "--format", "json")
+    assert rc == 0
+    classes = collections.Counter(tuple(node["point"]) for node in json.loads(out)["nodes"])
+    assert set(walked) == set(classes) and 1 in classes.values()
+    for point, count in classes.items():
+        assert walked[point] == (1 if count == 1 else 2), point
+
+
 # --- simplicity commands -------------------------------------------------------------
 
 
@@ -580,13 +607,26 @@ def count_add_argument(monkeypatch):
 def test_only_the_invoked_subcommand_gets_options(monkeypatch, capsys):
     calls = count_add_argument(monkeypatch)
     assert main(["criterion", "--spec", "A,B"]) == 0
-    # 14 parsers' -h, plus criterion's --spec, --knot, --format and --out.
-    assert len(calls) == 18
+    # The top level's and criterion's -h, plus criterion's --spec, --knot,
+    # --format and --out.
+    assert len(calls) == 6
     calls.clear()
     with pytest.raises(SystemExit):
         main(["-h"])
     assert len(calls) == 87
     capsys.readouterr()
+
+
+def test_every_subcommand_prints_its_own_help(capsys):
+    full = build_parser()
+    subparsers = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(subparsers.choices) == 13
+    for name in subparsers.choices:
+        with pytest.raises(SystemExit) as err:
+            main([name, "-h"])
+        assert err.value.code == 0
+        out, err_text = capsys.readouterr()
+        assert out.startswith(f"usage: legsum {name} [-h]") and err_text == "", name
 
 
 def test_per_command_parser_parses_like_the_full_one():

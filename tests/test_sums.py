@@ -464,6 +464,59 @@ def test_presence_joins_match_valley_depths_on_random_ranges(spec, depth):
     assert_presence_joins_match_valley_depths(spec, depth)
 
 
+# --- the box outside which a point has one class ----------------------------------------------
+
+
+def assert_one_class_outside_the_box(spec: L.SumSpec, depth: int) -> int:
+    """Check that every point of the sum outside the box on the top depth + 1 levels has one component.
+
+    Returns the number of such points.
+    """
+    gens = sums._Generators(spec)
+    outside = 0
+    for tb in range(spec.top_tb, spec.top_tb - depth - 1, -1):
+        for r in gens.level_points(tb):
+            if not gens.boxed(tb, r):
+                outside += 1
+                assert len(set(gens.components(tb, r).values())) == 1, (spec.label(), tb, r)
+    return outside
+
+
+def test_points_outside_the_box_have_one_class_on_grid(cat):
+    specs = make_grid_specs(cat, 5)
+    assert len(specs) == 251
+    assert all(assert_one_class_outside_the_box(spec, 12) for spec in specs)
+
+
+@given(st.one_of(random_sums(max_n=5), wide_step_sums(max_n=5)), st.integers(0, 12))
+def test_points_outside_the_box_have_one_class_on_random_ranges(spec, depth):
+    assert_one_class_outside_the_box(spec, depth)
+
+
+def test_window_builds_join_generators_only_inside_the_box(monkeypatch, A, B):
+    joined = record_calls(monkeypatch, sums._Generators, "components", lambda gens, tb, r: gens.boxed(tb, r))
+    for parts, depth in (([(A, 2), (B, 2)], 8), ([(B, 3)], 10)):
+        spec = L.SumSpec.of(parts)
+        window = L.build_quotient(spec, spec.top_tb - depth)
+        L.to_jsonable(window)
+        assert not L.nonsimple_report(window).simple
+    assert joined and all(joined)
+
+
+def test_fibers_outside_the_sum_are_empty(grid_specs):
+    for spec in grid_specs:
+        gens = sums._Generators(spec)
+        tb = spec.top_tb - 3
+        level = gens.level_points(tb)
+        for point in (
+            (spec.top_tb + 1, 0), (spec.top_tb + 2, spec.point_parity),  # above the top
+            (tb, level[0] + 1), (tb, level[-1] - 1),  # wrong parity
+            (tb, level[0] - 2), (tb, level[-1] + 2), (tb, -100), (tb, 100),  # outside every cone
+        ):
+            assert point[1] not in gens.level_points(point[0])
+            assert L.enumerate_fiber(spec, *point) == [], (spec.label(), point)
+
+
 # --- lazy members ----------------------------------------------------------------------------
 
 
