@@ -47,9 +47,9 @@ def _rows(*rows) -> str:
 
 
 def _resolve_knot(value: str) -> MountainRange:
-    """A knot argument is a document path or a catalog name; either way the range is valid."""
+    """A knot argument is a document file or a catalog name; either way the range is valid."""
     p = Path(value)
-    if p.exists():
+    if p.is_file():
         return documents.parse_knot_document(p.read_bytes(), source=str(p))
     cat = documents.catalog()
     if value in cat:
@@ -70,7 +70,7 @@ def _load_spec(args, parser: argparse.ArgumentParser) -> SumSpec:
         parser.error("--spec is required here")
     reg = _registry(args)
     p = Path(args.spec)
-    if p.exists():
+    if p.is_file():
         return documents.parse_sum_document(p.read_bytes(), reg, source=str(p))
     return documents.parse_inline_sum(args.spec, reg)
 
@@ -194,18 +194,20 @@ def cmd_fiber(args, parser) -> Result:
     if args.tb is None or args.r is None:
         parser.error("--tb and --r are required here")
     classes = enumerate_fiber(spec, args.tb, args.r)
-    payload = {
-        "command": "fiber",
-        "spec": spec.label(),
-        "point": [args.tb, args.r],
-        "class_count": len(classes),
-        "classes": [documents.class_obj(c) for c in classes],
-    }
+    if args.format == "json":
+        payload = {
+            "command": "fiber",
+            "spec": spec.label(),
+            "point": [args.tb, args.r],
+            "class_count": len(classes),
+            "classes": [documents.class_obj(c) for c in classes],
+        }
+        return Result(payload, "")
     rows = [["spec", spec.label()], ["point", args.tb, args.r], ["classes", len(classes)]]
     for i, c in enumerate(classes):
         rows.append(["class", i, c.size, c.representative.id_string()])
         rows += [["member", i, t.id_string()] for t in c.members]
-    return Result(payload, _rows(*rows))
+    return Result({}, _rows(*rows))
 
 
 def cmd_simple(args, parser) -> Result:

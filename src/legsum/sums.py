@@ -18,12 +18,22 @@ point where both are present, so the classes at a point are the components
 of those joins.  Where a point has several classes, this module walks its
 canonical tuples in canonical order, labelling each with the component of
 its peak-multiset generator, and stops once every component has its first
-tuple: that tuple is the class's representative and names its node.
-Windows of the quotient poset are assembled from those nodes, with edges
-led from component to component.  A one-class point's representative, and
-every class's members, are found only when first read, the members in one
-pass over the point shared by all classes there, so only outputs that name
-or list them pay for them.
+tuple: that tuple is the class's representative and names its node.  A
+one-class point's representative, and every class's members, are found
+only when first read, the members in one pass over the point shared by all
+classes there, so only outputs that name or list them pay for them.
+
+Windows and tuples are both read a level row at a time.  A window of the
+quotient poset is a stack of the sum's level rows, from the top down.  The
+box of the generator tops cuts each row into a run of points that may have
+several classes and the one-class points on either side of it, which are
+made with no joins.  Each class finds its two children in the next row by
+r, and at a point of several classes by its generator too, so edges are
+led from component to component.  Tuples are assembled from factor rows:
+per range and level, the level's r values and one factor per point,
+interned with its text on first use.  So the last factor of a tuple is
+found by one lookup of its r, and every tuple that holds a factor point
+holds the same factor.
 """
 
 from __future__ import annotations
@@ -193,6 +203,9 @@ def iter_canonical_tuples(spec: SumSpec, factor_tb_sum: int) -> Iterator[TupleCl
 
 
 Generator = tuple[int, ...]
+# A factor row: a range's r values at one level, its factor at each (None
+# until interned) and the label region of each interned factor.
+_Row = tuple[tuple[int, ...], dict[int, SimpleClass | None], dict[int, int]]
 
 
 class _Generators:
@@ -232,45 +245,51 @@ class _Generators:
     def __init__(self, spec: SumSpec) -> None:
         self._width = sum(rng.peak_count for rng in spec.ranges)
         self._parity = spec.point_parity
+        n = spec.n
+        # Per summand: its range, copy count, top, and the r reach of one
+        # copy: the max of p.r + p.tb and the min of p.r - p.tb over its peaks.
+        summands = [
+            (rng, s.count, rng.top_tb, max(p_r + p_tb for p_tb, p_r in rng._peak_points),
+             min(p_r - p_tb for p_tb, p_r in rng._peak_points))
+            for s, rng in zip(spec.summands, spec.ranges)
+        ]
         # Per factor position: its range, the index of its first peak in a
-        # generator, its top, and the bounds :meth:`tuples` enumerates within.
-        self._slots: list[tuple[MountainRange, int, int, bool, int, int, int, int]] = []
+        # generator, its top, the bounds :meth:`tuples` enumerates within,
+        # and its range's factor rows (see :meth:`_row`), shared by the
+        # positions of one summand.
+        self._slots: list[tuple[MountainRange, int, int, bool, int, int, int, int, dict[int, _Row]]] = []
         moves: list[int] = []  # the index of the left peak of each valley
-        per_summand = []
+        per_summand = []  # per summand: each multiset of its peaks, as copy counts, summed tb and summed r
         offset = 0
-        other_top = spec.top_tb - (spec.n - 1)
-        r_hi = sum(s.count * max(p.r + p.tb for p in rng.peaks) for s, rng in zip(spec.summands, spec.ranges))
-        r_lo = sum(s.count * min(p.r - p.tb for p in rng.peaks) for s, rng in zip(spec.summands, spec.ranges))
-        for s, rng in zip(spec.summands, spec.ranges):
-            other_top -= s.count * rng.top_tb
-            for k in range(s.count):
-                r_hi -= max(p.r + p.tb for p in rng.peaks)
-                r_lo -= min(p.r - p.tb for p in rng.peaks)
-                self._slots.append((rng, offset, rng.top_tb, k > 0, s.count - 1 - k, other_top, r_hi, r_lo))
-            moves.extend(range(offset, offset + rng.peak_count - 1))
+        other_top = sum(count * top for _rng, count, top, _hi, _lo in summands)
+        r_hi = sum(count * hi for _rng, count, _top, hi, _lo in summands)
+        r_lo = sum(count * lo for _rng, count, _top, _hi, lo in summands)
+        for rng, count, top, hi, lo in summands:
+            other_top -= count * top
+            rows: dict[int, _Row] = {}
+            for k in range(count):
+                r_hi -= hi
+                r_lo -= lo
+                self._slots.append((rng, offset, top, k > 0, count - 1 - k, other_top, r_hi, r_lo, rows))
+            width = rng.peak_count
+            moves.extend(range(offset, offset + width - 1))
+            points = rng._peak_points
             per_summand.append([
-                tuple(combo.count(j) for j in range(rng.peak_count))
-                for combo in combinations_with_replacement(range(rng.peak_count), s.count)
+                (tuple(combo.count(j) for j in range(width)), sum(points[j][0] for j in combo), sum(points[j][1] for j in combo))
+                for combo in combinations_with_replacement(range(width), count)
             ])
-            offset += rng.peak_count
-        peaks = [p for rng in spec.ranges for p in rng.peaks]
+            offset += width
         # Per generator: its top (tb, r), and the generators its valley moves reach.
         self._tops: list[tuple[Generator, int, int, list[Generator]]] = []
         for parts in product(*per_summand):
-            gen = sum(parts, ())
-            tb = sum(c * p.tb for c, p in zip(gen, peaks)) + spec.n - 1
-            r = sum(c * p.r for c, p in zip(gen, peaks))
+            counts, tbs, rs = zip(*parts)
+            gen = sum(counts, ())
             moved = [gen[:k] + (gen[k] - 1, gen[k + 1] + 1) + gen[k + 2:] for k in moves if gen[k]]
-            self._tops.append((gen, tb, r, moved))
+            self._tops.append((gen, sum(tbs) + n - 1, sum(rs), moved))
         self._top_points = tuple((tb, r) for _gen, tb, r, _moved in self._tops)
         self.U_min = min(tb + r for tb, r in self._top_points)
         self.V_min = min(tb - r for tb, r in self._top_points)
         self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
-        # One factor per (knot_id, tb, r), shared by every tuple this builder
-        # makes, beside its label region: the index of the leftmost peak of
-        # its range whose cone holds it.  Threads that intern the same point
-        # at once may each make one; they are equal values, so either serves.
-        self._factors: dict[tuple[str, int, int], tuple[SimpleClass, int]] = {}
 
     def level_points(self, tb: int) -> tuple[int, ...]:
         """The r values of the sum's points at level tb: the cone slices of the generator tops."""
@@ -321,28 +340,46 @@ class _Generators:
         """The generator of a factor tuple grouped in spec order.
 
         Each factor counts towards the leftmost peak of its summand whose
-        cone holds it.  That peak is read from the factor table; only a
-        factor this builder has not interned yet is placed against the peaks.
+        cone holds it.  That peak was found when the factor was interned and
+        is read from its row, so the tuples labelled must be this builder's
+        own, from :meth:`tuples`.
         """
         counts = [0] * self._width
-        table = self._factors
         for f, slot in zip(factors, self._slots):
-            key = (f.knot_id, f.tb, f.r)
-            counts[slot[1] + (table.get(key) or self._intern(slot[0], key))[1]] += 1
+            counts[slot[1] + slot[8][f.tb][2][f.r]] += 1
         return tuple(counts)
 
-    def _intern(self, rng: MountainRange, key: tuple[str, int, int]) -> tuple[SimpleClass, int]:
-        """The table entry of a factor point of ``rng``: its factor and label region.
+    @staticmethod
+    def _row(rng: MountainRange, rows: dict[int, _Row], tb: int) -> _Row:
+        """The factor row of ``rng`` at level tb, made on first use.
 
-        The point shares the parity of every peak of its range, so it lies
-        in a peak's cone iff its r is within the peak's tb drop of the
-        peak's r.
+        A row holds the level's r values ascending, a dict from each of them
+        to its factor, ``None`` until :meth:`_intern` makes it, and a dict
+        from each interned r to the factor's label region.  Threads that make
+        the same row at once keep the first one stored.
         """
-        _knot_id, tb, r = key
+        level = _level_points(rng._peak_points, tb)
+        return rows.setdefault(tb, (level, dict.fromkeys(level), {}))
+
+    def _intern(self, rng: MountainRange, row: _Row, tb: int, r: int) -> SimpleClass:
+        """The factor at (tb, r) of ``rng``, stored in its row with its text and label region.
+
+        The region is the index of the leftmost peak whose cone holds the
+        point.  The point shares the parity of every peak of its range, so it
+        lies in a peak's cone iff its r is within the peak's tb drop of the
+        peak's r.  Every tuple this builder makes holds the row's factor, so
+        a factor point is one :class:`SimpleClass`, formatted once, however
+        many tuples hold it.  Threads that intern the same point at once may
+        each make one; they are equal values, so either serves.
+        """
         for region, (p_tb, p_r) in enumerate(rng._peak_points):
             if abs(r - p_r) <= p_tb - tb:
                 break
-        return self._factors.setdefault(key, (SimpleClass(*key), region))
+        f = SimpleClass(rng.knot_id, tb, r)
+        object.__setattr__(f, "_text", f"{rng.knot_id}({tb},{r})")  # fills the cached property
+        row[2][r] = region
+        row[1][r] = f
+        return f
 
     def members(self, tb: int, r: int) -> dict[Generator | None, tuple[TupleClass, ...]]:
         """The canonical tuples at a point of the sum grouped by root (see :meth:`roots`), in canonical order.
@@ -361,11 +398,13 @@ class _Generators:
         """The canonical tuples at exactly (tb, r), in :meth:`TupleClass.sort_key` order.
 
         Factor positions are filled left to right, each over tb descending
-        and r ascending.  The last position is solved inline, in the loop
-        over the position before it: its factor is what remains of (tb, r),
-        a member iff that r lies in its level, found by bisection.  So an
-        n-factor sum nests n - 1 generators, none of them per last-position
-        candidate; an n = 2 sum runs one per point.
+        and r ascending, the candidates of a level sliced from its factor row
+        (:meth:`_row`) by bisection.  The last position is solved inline, in
+        the loop over the position before it: its factor is what remains of
+        (tb, r), a member iff that r is a key of its level's row, which holds
+        the factor too, so one dict lookup answers both.  So an n-factor sum
+        nests n - 1 generators, none of them per last-position candidate; an
+        n = 2 sum runs one per point.
         A position's tb is at least what its later positions cannot absorb:
         those of other summands reach at most their summed tops
         (``other_top``), the ``same`` later ones of its own summand at most
@@ -374,64 +413,61 @@ class _Generators:
         and ``r_hi`` sum ``min(p.r - p.tb)`` and ``max(p.r + p.tb)``.  Within
         a summand the order is kept by taking the next factor's tb at most
         the previous one's, and its r at least the previous one's at equal
-        tb.  Factors are taken from this builder's table, so a factor point
-        is one :class:`SimpleClass`, formatted at most once, however many
-        tuples hold it.
+        tb.  Factors are taken from this builder's rows, interned on first
+        use (:meth:`_intern`), so a factor point is one :class:`SimpleClass`,
+        its text formatted once, however many tuples hold it.
         """
         last = len(self._slots) - 1
         if last:
             return self._walk(0, tb - last, r, ())
         # One factor: the point itself, if it lies in its level.
-        rng = self._slots[0][0]
-        level = _level_points(rng._peak_points, tb)
-        k = bisect_left(level, r)
-        if k < len(level) and level[k] == r:
-            key = (rng.knot_id, tb, r)
-            return iter([TupleClass(((self._factors.get(key) or self._intern(rng, key))[0],))])
-        return iter([])
+        rng, rows = self._slots[0][0], self._slots[0][8]
+        row = rows.get(tb) or self._row(rng, rows, tb)
+        f = row[1].get(r, False)
+        if f is False:
+            return iter([])
+        return iter([TupleClass((f or self._intern(rng, row, tb, r),))])
 
     def _walk(self, i: int, t: int, q: int, head: tuple[SimpleClass, ...]) -> Iterator[TupleClass]:
         """The tuples that extend ``head`` by positions i, i + 1, ... at factor tb sum t and r sum q."""
-        rng, _offset, top, follows, same, other_top, r_hi, r_lo = self._slots[i]
-        knot_id, points = rng.knot_id, rng._peak_points
-        table, intern = self._factors, self._intern
+        rng, _offset, top, follows, same, other_top, r_hi, r_lo, rows = self._slots[i]
+        row_of, intern = self._row, self._intern
         prev = head[-1] if follows else None
         cap = prev.tb if prev else top
         inline = i + 2 == len(self._slots)
         if inline:
             last_slot = self._slots[i + 1]
-            last_rng, last_follows = last_slot[0], last_slot[3]
-            last_id, last_points = last_rng.knot_id, last_rng._peak_points
+            last_rng, last_follows, last_rows = last_slot[0], last_slot[3], last_slot[8]
         for tb_i in range(cap, -(-(t - other_top) // (same + 1)) - 1, -1):
             rest = t - tb_i
-            level = _level_points(points, tb_i)
+            row = rows.get(tb_i) or row_of(rng, rows, tb_i)
+            level, factors = row[0], row[1]
             r_min = q - r_hi + rest
             if prev and tb_i == cap:
                 r_min = max(r_min, prev.r)
             candidates = level[bisect_left(level, r_min):bisect_right(level, q - r_lo - rest)]
             if not inline:
                 for r_i in candidates:
-                    key = (knot_id, tb_i, r_i)
-                    yield from self._walk(i + 1, rest, q - r_i, head + ((table.get(key) or intern(rng, key))[0],))
+                    yield from self._walk(i + 1, rest, q - r_i, head + (factors[r_i] or intern(rng, row, tb_i, r_i),))
                 continue
             # The last position is (rest, q - r_i), kept after this one's
-            # factor within a summand.
+            # factor within a summand; its row answers membership and
+            # holds its factor in one lookup.
             if last_follows and rest > tb_i:
                 continue
             tie = last_follows and rest == tb_i
-            last_level = _level_points(last_points, rest)
+            last_row = last_rows.get(rest) or row_of(last_rng, last_rows, rest)
+            last_factors = last_row[1]
             for r_i in candidates:
                 q_last = q - r_i
                 if tie and q_last < r_i:
                     continue
-                k = bisect_left(last_level, q_last)
-                if k < len(last_level) and last_level[k] == q_last:
-                    key = (knot_id, tb_i, r_i)
-                    key_last = (last_id, rest, q_last)
-                    yield TupleClass(head + (
-                        (table.get(key) or intern(rng, key))[0],
-                        (table.get(key_last) or intern(last_rng, key_last))[0],
-                    ))
+                f_last = last_factors.get(q_last, False)
+                if f_last is not False:
+                    # Interned before this position's factor is read, which
+                    # may be the same point.
+                    f_last = f_last or intern(last_rng, last_row, rest, q_last)
+                    yield TupleClass(head + (factors[r_i] or intern(rng, row, tb_i, r_i), f_last))
 
 
 def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator | None, PosetNode]]:
@@ -448,7 +484,7 @@ def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator | Non
     components, roots = gens.roots(tb, r)
     if len(roots) == 1:
         (root,) = roots
-        return [(root, PosetNode._lazy(tb, r, lambda: next(gens.tuples(tb, r)), lambda: gens.members(tb, r)[root]))]
+        return [(root, _one_class(gens, tb, r, root))]
     reps: dict[Generator, TupleClass] = {}
     for t in gens.tuples(tb, r):
         reps.setdefault(components[gens.label(t.factors)], t)
@@ -462,6 +498,11 @@ def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator | Non
         return members[root]
 
     return [(root, PosetNode._lazy(tb, r, t, functools.partial(expand, root))) for root, t in reps.items()]
+
+
+def _one_class(gens: _Generators, tb: int, r: int, root: Generator | None) -> PosetNode:
+    """The node of a one-class point, whose representative and members are found on first read."""
+    return PosetNode._lazy(tb, r, lambda: next(gens.tuples(tb, r)), lambda: gens.members(tb, r)[root])
 
 
 def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
@@ -503,49 +544,71 @@ def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
 def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPoset:
     """The window of the quotient poset from its top level down to tb_min.
 
-    Nodes are the classes of every fiber, the components of the point's
-    generator joins (see :func:`_partition`); only a point with several
-    classes walks tuples at build time, to name its classes and order them
-    by key.  Edges are the signed stabilization steps between classes, led
-    from component to component: the class with root g at (tb, r) has its
-    +- child at the root of g at (tb - 1, r +- 1), because g's cone holds
-    that point, and two generators both present at (tb, r) are both present
-    below it, so every join open at (tb, r) stays open there.  A point
-    outside the box of :meth:`_Generators.boxed` has one class with root
-    ``None`` and computes no joins; u and v only fall going down, so its
-    children lie outside the box too.
-    ``workers`` > 1 runs the per-point partitioning on a thread pool;
-    results are identical to the serial order.
+    The window is built a level row at a time, from the top down.  A row is
+    the sum's points at one level (:meth:`_Generators.level_points`), and
+    two bisections split it at the box of :meth:`_Generators.boxed`: its
+    points with r <= U_min - tb or r >= tb - V_min have one class with root
+    ``None``, made with no joins and no tuples; only the points between are
+    partitioned into the components of their generator joins (see
+    :func:`_partition`), and walk tuples at build time only to name and
+    order several classes by key.  Edges are the signed stabilization steps
+    between classes, led from component to component: the class with root
+    g at (tb, r) has its +- child at the root of g at (tb - 1, r +- 1),
+    because g's cone holds that point, and two generators both present at
+    (tb, r) are both present below it, so every join open at (tb, r) stays
+    open there.  So a child is found in the next row by its r alone, and at
+    a point of several classes by the generator g too; a parent outside
+    the box has its children outside it, since u and v only fall going
+    down.
+    ``workers`` > 1 runs the partitioning of the boxed points on a thread
+    pool; results are identical to the serial order.
     """
     top = spec.top_tb
     if tb_min > top:
         raise WindowEmpty(f"window floor {tb_min} lies above the top level {top}")
     gens = _Generators(spec)
-    order = [(tb, r) for tb in range(top, tb_min - 1, -1) for r in gens.level_points(tb)]
+    rows = []  # per level: tb, its r values, and the bounds of its boxed run
+    for tb in range(top, tb_min - 1, -1):
+        row = gens.level_points(tb)
+        lo = bisect_right(row, gens.U_min - tb)
+        rows.append((tb, row, lo, max(lo, bisect_left(row, tb - gens.V_min))))
+    boxed = [(tb, r) for tb, row, lo, hi in rows for r in row[lo:hi]]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda pt: _partition(gens, *pt), order))
+            parts = iter(list(pool.map(lambda pt: _partition(gens, *pt), boxed)))
     else:
-        parts = [_partition(gens, *pt) for pt in order]
+        parts = (_partition(gens, *pt) for pt in boxed)
 
     nodes: list[PosetNode] = []
-    roots: list[Generator | None] = []
-    where: dict[tuple[int, int, Generator | None], int] = {}  # position of each class by (tb, r, root)
-    for (tb, r), classes in zip(order, parts):
-        if len(classes) > 1:
-            classes.sort(key=lambda c: c[1].key)
-        for root, node in classes:
-            where[tb, r, root] = len(nodes)
-            roots.append(root)
-            nodes.append(node)
     steps: dict[str, list[list[int]]] = {POS: [], NEG: []}  # child positions per sign and node
-    for root, node in zip(roots, nodes):
-        for kids, step in ((steps[POS], 1), (steps[NEG], -1)):
-            if node.tb == tb_min:
-                kids.append([])
+    pos_kids, neg_kids = steps[POS], steps[NEG]
+    above: list[tuple[int, Generator | None]] = []  # (r, root) of each node of the row above
+    for tb, row, lo, hi in rows:
+        at: dict[int, int] = {}  # position of each point's first class, by r
+        split: dict[int, dict[Generator, int]] = {}  # at a point of several classes: position by generator
+        here: list[tuple[int, Generator | None]] = []
+        for k, r in enumerate(row):
+            at[r] = len(nodes)
+            if not lo <= k < hi:
+                here.append((r, None))
+                nodes.append(_one_class(gens, tb, r, None))
                 continue
-            child = (node.tb - 1, node.r + step)
-            kids.append([where[(*child, gens.components(*child)[root] if gens.boxed(*child) else None)]])
+            classes = next(parts)
+            if len(classes) > 1:
+                classes.sort(key=lambda c: c[1].key)
+                position = {root: len(nodes) + j for j, (root, _node) in enumerate(classes)}
+                split[r] = {gen: position[root] for gen, root in gens.components(tb, r).items()}
+            for root, node in classes:
+                here.append((r, root))
+                nodes.append(node)
+        for r, root in above:
+            for kids, c in ((pos_kids, r + 1), (neg_kids, r - 1)):
+                by_gen = split.get(c) if root is not None else None
+                kids.append([by_gen[root] if by_gen else at[c]])
+        above = here
+    for _ in above:
+        pos_kids.append([])
+        neg_kids.append([])
     return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)

@@ -14,7 +14,9 @@ algorithm than the library uses:
   relation moves themselves (:func:`relation_neighbors`) instead of the
   generator quotient;
 * generator classes via the valley-depth join test ``a >= alpha`` on cone
-  coordinates instead of the presence of both generators.
+  coordinates instead of the presence of both generators;
+* window assembly point by point, each class placed and found by a
+  ``(tb, r, root)`` key, instead of a level row at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import itertools
 from collections import deque
 
 import legsum as L
+from legsum import sums
 
 Point = tuple[int, int]
 
@@ -325,3 +328,40 @@ def valley_depth_classes(spec: L.SumSpec, tb: int, r: int) -> set[frozenset[tupl
     for gen in coords:
         groups.setdefault(dsu.find(gen), set()).add(gen)
     return {frozenset(g) for g in groups.values()}
+
+
+# --- quotient windows assembled point by point ---------------------------------------
+
+
+def point_window(spec: L.SumSpec, tb_min: int) -> L.QuotientPoset:
+    """The window of :func:`legsum.build_quotient`, assembled one point at a time.
+
+    This is the library's earlier window builder.  Every point of every level
+    is partitioned by ``sums._partition``, classes are placed by a
+    ``(tb, r, root)`` key, and each child is found by that key, from the
+    child's generator components inside the box and root ``None`` outside
+    it.  The classes and their members come from the library's own
+    per-point partition; only the assembly of the window differs.
+    """
+    gens = sums._Generators(spec)
+    order = [(tb, r) for tb in range(spec.top_tb, tb_min - 1, -1) for r in gens.level_points(tb)]
+    nodes: list[L.PosetNode] = []
+    roots = []
+    where = {}
+    for tb, r in order:
+        classes = sums._partition(gens, tb, r)
+        if len(classes) > 1:
+            classes.sort(key=lambda c: c[1].key)
+        for root, node in classes:
+            where[tb, r, root] = len(nodes)
+            roots.append(root)
+            nodes.append(node)
+    steps: dict[str, list[list[int]]] = {L.POS: [], L.NEG: []}
+    for root, node in zip(roots, nodes):
+        for kids, step in ((steps[L.POS], 1), (steps[L.NEG], -1)):
+            if node.tb == tb_min:
+                kids.append([])
+                continue
+            child = (node.tb - 1, node.r + step)
+            kids.append([where[(*child, gens.components(*child)[root] if gens.boxed(*child) else None)]])
+    return L.QuotientPoset(nodes, steps, tb_min, spec.top_tb, top_is_global=True)

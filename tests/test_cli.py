@@ -320,6 +320,25 @@ def test_fiber(capsys):
     )
 
 
+def test_text_fiber_formats_each_id_once(monkeypatch, capsys):
+    # Text lists one row per class and per member; no JSON payload is made beside it.
+    calls = []
+    id_string = legsum.TupleClass.id_string
+
+    def counted(t):
+        calls.append(t)
+        return id_string(t)
+
+    monkeypatch.setattr(legsum.TupleClass, "id_string", counted)
+    rc, out, _ = run(capsys, "fiber", "--spec", "A:2,B:2", "--tb", "1", "--r", "0")
+    assert rc == 0
+    rows = out.splitlines()
+    classes = [row for row in rows if row.startswith("class\t")]
+    members = [row for row in rows if row.startswith("member\t")]
+    assert len(classes) > 1 and len(members) > len(classes)
+    assert len(calls) == len(members) + len(classes)
+
+
 def test_fiber_json_golden(capsys):
     rc, out, err = run(capsys, "fiber", "--spec", "B:2", "--tb", "1", "--r", "0", "--format", "json")
     assert (rc, err) == (0, "")
@@ -558,6 +577,29 @@ def test_spec_document_file(capsys, tmp_path):
     rc, out, _ = run(capsys, "criterion", "--spec", str(p))
     assert rc == 0
     assert "simple\tfalse" in out
+
+
+def test_directories_do_not_shadow_catalog_names(capsys, tmp_path, monkeypatch):
+    # A directory named like a knot or an inline spec is not a document.
+    want = {}
+    for argv in (("validate", "--knot", "A"), ("criterion", "--spec", "A,B"), ("sum", "--spec", "B:2", "--depth", "2")):
+        want[argv] = run(capsys, *argv)
+        assert want[argv][0] == 0, argv
+    monkeypatch.chdir(tmp_path)
+    for name in ("A", "A,B", "B:2"):
+        (tmp_path / name).mkdir()
+    for argv, result in want.items():
+        assert run(capsys, *argv) == result, argv
+
+
+def test_knot_and_spec_files_still_win_over_names(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A").write_text('{"name": "D", "genus": 3, "peaks": [[0, -2], [0, 4]]}')
+    rc, out, _ = run(capsys, "validate", "--knot", "A")
+    assert rc == 0 and out.startswith("knot\tD\n")
+    (tmp_path / "A,B").write_text('{"summands": [{"knot": "B", "count": 2}]}')
+    rc, out, _ = run(capsys, "criterion", "--spec", "A,B")
+    assert rc == 0 and "spec\tB^2\n" in out
 
 
 def test_json_output_is_canonical_and_repeatable(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import os
@@ -17,7 +18,7 @@ from legsum import sums
 from legsum.cli import main
 
 from conftest import make_grid_specs, random_sums, wide_step_sums
-from oracles import bfs_members, fiber_signatures, relation_neighbors, relation_window, valley_depth_classes
+from oracles import bfs_members, fiber_signatures, point_window, relation_neighbors, relation_window, valley_depth_classes
 
 
 def fiber_as_signatures(classes: list[L.PosetNode]) -> set[frozenset[str]]:
@@ -391,6 +392,14 @@ def test_workers_agree(B):
     assert L.dump_json(L.to_jsonable(serial)) == L.dump_json(L.to_jsonable(threaded))
 
 
+def test_workers_agree_on_a_deeper_window(A, B):
+    spec = L.SumSpec.of([(A, 2), (B, 2)])
+    serial = L.build_quotient(spec, spec.top_tb - 8)
+    threaded = L.build_quotient(spec, spec.top_tb - 8, workers=3)
+    assert window_parts(serial) == window_parts(threaded)
+    assert L.dump_json(L.to_jsonable(serial)) == L.dump_json(L.to_jsonable(threaded))
+
+
 def test_fiber_sizes_translation_invariant(A, B):
     base = L.SumSpec.of([(A, 1), (B, 1)])
     moved_rng = L.make_range("A", [(p.tb, p.r + 2) for p in A.peaks])
@@ -436,6 +445,28 @@ def test_generator_quotient_matches_relation_oracle_on_random_ranges(spec, depth
 @given(wide_step_sums(), st.integers(0, 10))
 def test_generator_quotient_matches_relation_oracle_on_wide_steps(spec, depth):
     assert_matches_relation_oracle(spec, spec.top_tb - depth)
+
+
+# --- windows built a level row at a time against the point-by-point builder ---------------------
+
+
+def assert_matches_point_window(spec: L.SumSpec, depth: int) -> None:
+    """Check node order, keys, members and child positions against :func:`oracles.point_window`."""
+    got, want = L.build_quotient(spec, spec.top_tb - depth), point_window(spec, spec.top_tb - depth)
+    assert window_parts(got) == window_parts(want), spec.label()
+    assert got._down == want._down, spec.label()
+
+
+def test_row_builds_match_point_builds_on_grid(grid_specs):
+    assert len(grid_specs) == 55
+    for spec in grid_specs:
+        for depth in (3, 10):
+            assert_matches_point_window(spec, depth)
+
+
+@given(st.one_of(random_sums(), wide_step_sums()), st.integers(0, 10))
+def test_row_builds_match_point_builds_on_random_ranges(spec, depth):
+    assert_matches_point_window(spec, depth)
 
 
 def assert_presence_joins_match_valley_depths(spec: L.SumSpec, depth: int) -> None:
@@ -655,6 +686,24 @@ def test_a_window_holds_one_factor_per_point(B):
     spec = L.SumSpec.of([(B, 3)])
     factors = [f for node in L.build_quotient(spec, spec.top_tb - 4) for t in node.members for f in t.factors]
     assert len({id(f) for f in factors}) == len(set(factors))
+
+
+def test_listing_a_window_interns_and_formats_each_factor_point_once(monkeypatch, A, B):
+    formatted = []
+    text = L.SimpleClass.__dict__["_text"]
+    counted = functools.cached_property(lambda f: formatted.append(f) or text.func(f))
+    counted.__set_name__(L.SimpleClass, "_text")
+    monkeypatch.setattr(L.SimpleClass, "_text", counted)
+    interned = record_calls(monkeypatch, sums._Generators, "_intern", lambda gens, rng, row, tb, r: (rng.knot_id, tb, r))
+    for parts, depth in (([(B, 3)], 8), ([(A, 2), (B, 2)], 8)):
+        interned.clear()
+        spec = L.SumSpec.of(parts)
+        members = [t for node in L.build_quotient(spec, spec.top_tb - depth) for t in node.members]
+        ids = [t.id_string() for t in members]
+        assert len(ids) == len(set(ids)) > 1000
+        assert sorted(interned) == sorted({(f.knot_id, f.tb, f.r) for t in members for f in t.factors})
+        assert all(f"{f.knot_id}({f.tb},{f.r})" in t.id_string().split("|") for t in members[::97] for f in t.factors)
+    assert formatted == []
 
 
 def test_import_leaves_the_thread_pool_unloaded():
