@@ -59,7 +59,7 @@ def _resolve_knot(value: str) -> MountainRange:
 
 def _registry(args) -> dict[str, MountainRange]:
     reg = documents.catalog()
-    for path in getattr(args, "knot", None) or []:
+    for path in args.knot or []:
         rng = _resolve_knot(path)
         reg[rng.knot_id] = rng
     return reg
@@ -110,7 +110,6 @@ def cmd_validate(args, parser) -> Result:
         rng = _resolve_knot(value)
     except RangeInvalid as exc:
         payload = {
-            "command": "validate",
             "source": value,
             "valid": False,
             "violations": [{"code": v.code, "message": v.message} for v in exc.violations],
@@ -118,7 +117,7 @@ def cmd_validate(args, parser) -> Result:
         text = _rows(["valid", "false"], *(["violation", v.code, v.message] for v in exc.violations))
         return Result(payload, text, code=1)
     report = rng.validate()
-    payload = {"command": "validate", "source": value, **to_jsonable(report)}
+    payload = {"source": value, **to_jsonable(report)}
     return Result(payload, _rows(["knot", rng.knot_id], ["valid", "true"]))
 
 
@@ -127,7 +126,6 @@ def cmd_peaks(args, parser) -> Result:
         spec = _load_spec(args, parser)
         pts = peaks_of_sum(spec)
         payload = {
-            "command": "peaks",
             "spec": spec.label(),
             "count": len(pts),
             "formula": peak_count_formula(spec),
@@ -140,11 +138,7 @@ def cmd_peaks(args, parser) -> Result:
         rows += [["peak", *t.invariants(), t.id_string()] for t in pts]
         return Result(payload, _rows(*rows))
     rng = _resolve_knot(_knot_arg(args, parser))
-    payload = {
-        "command": "peaks",
-        "knot": rng.knot_id,
-        "peaks": [[p.tb, p.r] for p in rng.peaks],
-    }
+    payload = {"knot": rng.knot_id, "peaks": [[p.tb, p.r] for p in rng.peaks]}
     rows = [["knot", rng.knot_id]] + [["peak", p.tb, p.r] for p in rng.peaks]
     return Result(payload, _rows(*rows))
 
@@ -155,7 +149,6 @@ def cmd_valleys(args, parser) -> Result:
         poset = build_quotient(spec, _window_floor(args, spec.top_tb))
         vals = detect_valleys(poset)
         payload = {
-            "command": "valleys",
             "spec": spec.label(),
             "tb_min": poset.tb_min,
             "valleys": [{"point": [n.tb, n.r], "id": n.key} for n in vals],
@@ -164,11 +157,7 @@ def cmd_valleys(args, parser) -> Result:
         return Result(payload, _rows(*rows))
     rng = _resolve_knot(_knot_arg(args, parser))
     vals = rng.valleys()
-    payload = {
-        "command": "valleys",
-        "knot": rng.knot_id,
-        "valleys": [to_jsonable(v) for v in vals],
-    }
+    payload = {"knot": rng.knot_id, "valleys": [to_jsonable(v) for v in vals]}
     rows = [["knot", rng.knot_id]] + [["valley", v.tb, v.r, f"peaks {v.left},{v.right}"] for v in vals]
     return Result(payload, _rows(*rows))
 
@@ -177,7 +166,10 @@ def cmd_sum(args, parser) -> Result:
     spec = _load_spec(args, parser)
     poset = build_quotient(spec, _window_floor(args, spec.top_tb))
     if args.format == "json":
-        return Result({"command": "sum", "spec": spec.label(), **to_jsonable(poset)}, "")
+        return Result({"spec": spec.label(), **to_jsonable(poset)}, "")
+    # Node rows first: a one-class node's members, read for its size, then
+    # give its key, so its point is walked once.
+    nodes = [["node", n.tb, n.r, n.size, n.key] for n in poset]
     rows = [
         ["spec", spec.label()],
         ["top_tb", poset.top_tb],
@@ -185,8 +177,7 @@ def cmd_sum(args, parser) -> Result:
         ["nodes", len(poset)],
         ["edges", len(poset.edges)],
     ]
-    rows += [["node", n.tb, n.r, n.size, n.key] for n in poset]
-    return Result({}, _rows(*rows))
+    return Result({}, _rows(*rows, *nodes))
 
 
 def cmd_fiber(args, parser) -> Result:
@@ -196,7 +187,6 @@ def cmd_fiber(args, parser) -> Result:
     classes = enumerate_fiber(spec, args.tb, args.r)
     if args.format == "json":
         payload = {
-            "command": "fiber",
             "spec": spec.label(),
             "point": [args.tb, args.r],
             "class_count": len(classes),
@@ -215,7 +205,6 @@ def cmd_simple(args, parser) -> Result:
     cv = criterion(spec)
     wv = simplicity_in_window(spec, _window_floor(args, spec.top_tb))
     payload = {
-        "command": "simple",
         "spec": spec.label(),
         "criterion": to_jsonable(cv),
         "window": to_jsonable(wv),
@@ -237,7 +226,7 @@ def cmd_simple(args, parser) -> Result:
 def cmd_criterion(args, parser) -> Result:
     spec = _load_spec(args, parser)
     cv = criterion(spec)
-    payload = {"command": "criterion", "spec": spec.label(), **to_jsonable(cv)}
+    payload = {"spec": spec.label(), **to_jsonable(cv)}
     rows = [
         ["spec", spec.label()],
         ["simple", str(cv.simple).lower()],
@@ -250,7 +239,7 @@ def cmd_criterion(args, parser) -> Result:
 def cmd_witness(args, parser) -> Result:
     spec = _load_spec(args, parser)
     w = nonsimplicity_witness(spec)
-    payload = {"command": "witness", "spec": spec.label(), **to_jsonable(w)}
+    payload = {"spec": spec.label(), **to_jsonable(w)}
     rows = [
         ["spec", spec.label()],
         ["point", *w.point],
@@ -273,7 +262,6 @@ def cmd_canonical(args, parser) -> Result:
         parser.error("--tb and --r are required here")
     form = canonical_form(rng, n, args.tb, args.r)
     payload = {
-        "command": "canonical",
         "knot": rng.knot_id,
         "n": n,
         "point": [args.tb, args.r],
@@ -292,7 +280,6 @@ def cmd_xy(args, parser) -> Result:
         parser.error("--tb and --r are required here")
     inv = xy_invariants(rng, n, args.tb, args.r)
     payload = {
-        "command": "xy",
         "knot": rng.knot_id,
         "n": n,
         "point": [args.tb, args.r],
@@ -318,7 +305,6 @@ def cmd_path_search(args, parser) -> Result:
         spec.ranges[0], spec.ranges[1], start[0], end[0], start[1], end[1], floor, max_len
     )
     payload = {
-        "command": "path-search",
         "spec": spec.label(),
         "start": [[c.tb, c.r] for c in start],
         "end": [[c.tb, c.r] for c in end],
@@ -339,7 +325,7 @@ def cmd_nmax(args, parser) -> Result:
     spec = _load_spec(args, parser)
     poset = build_quotient(spec, _window_floor(args, spec.top_tb))
     report = nonsimple_report(poset)
-    payload = {"command": "nmax", "spec": spec.label(), **to_jsonable(report)}
+    payload = {"spec": spec.label(), **to_jsonable(report)}
     rows = [["spec", spec.label()], ["tb_min", report.tb_min], ["simple", str(report.simple).lower()]]
     rows += [["candidate", *v.point, v.fiber_size, v.case] for v in report.nmax]
     return Result(payload, _rows(*rows))
@@ -365,14 +351,7 @@ def cmd_render(args, parser) -> Result:
         figure = render_figure(rng, RenderSpec(fmt, tb_min))
         label = rng.knot_id
         points = sum(len(rng.level_points(tb)) for tb in range(tb_min, rng.top_tb + 1))
-    payload = {
-        "command": "render",
-        "model": label,
-        "format": fmt,
-        "tb_min": tb_min,
-        "points": points,
-        "out": args.out,
-    }
+    payload = {"model": label, "format": fmt, "tb_min": tb_min, "points": points, "out": args.out}
     text = _rows(["model", label], ["format", fmt], ["points", points], ["out", args.out or "-"])
     return Result(payload, text, figure=figure)
 
@@ -453,7 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result: Result = args.func(args, parser)
-        body = dump_json(result.payload) if args.format == "json" else result.text
+        body = dump_json({"command": args.command, **result.payload}) if args.format == "json" else result.text
         if args.out and result.figure is not None:
             Path(args.out).write_bytes(result.figure)
         elif args.out:

@@ -112,7 +112,12 @@ def _encode(o, nl: str, markers: dict) -> str:
 
 
 def _load_json(data: bytes | str, source: str):
-    """Decode UTF-8 bytes and parse JSON, reporting either failure as ParseError."""
+    """Decode UTF-8 bytes and parse JSON, reporting any failure as ParseError.
+
+    Besides malformed text, ``json.loads`` raises ``ValueError`` for an
+    integer longer than the interpreter's digit limit and ``RecursionError``
+    for nesting too deep to parse.
+    """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -122,6 +127,8 @@ def _load_json(data: bytes | str, source: str):
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{source}: {exc}") from exc
 
 
 _KNOT_KEYS = {"name", "prime", "genus", "peaks"}
@@ -260,11 +267,16 @@ def tuple_obj(t: TupleClass) -> dict:
 
 
 def class_obj(node: PosetNode) -> dict:
-    """The fiber view of one class: its representative tuple and member ids."""
+    """The fiber view of one class: its representative tuple and member ids.
+
+    Members first: a one-class node's representative then comes from the
+    listing, not from a second walk of its point.
+    """
+    members = node.members
     return {
         "representative": tuple_obj(node.representative),
-        "size": node.size,
-        "members": [t.id_string() for t in node.members],
+        "size": len(members),
+        "members": [t.id_string() for t in members],
     }
 
 

@@ -1,18 +1,20 @@
 """Deterministic diagrams of mountain ranges and quotient windows.
 
 Axis convention: tb runs vertically (top row first), r horizontally.  Both
-formats use one cell per lattice point.  ASCII output marks peaks ``^``,
-valleys ``v``, plain members ``o``, and nonsimple points by their fiber
-size; cells of the right parity that are not members print as ``.``.  SVG
-output is assembled by hand from a fixed template so identical inputs give
-identical bytes.
+formats draw one grid: each member point, in window order, with one mark.
+A point of several classes is marked by its fiber size (``#`` above 9),
+which wins over ``^`` for a peak or parentless node, then ``v`` for a
+valley, then ``o``.  ASCII prints the marks, and ``.`` at the other cells of
+a row's parity.  SVG draws them as a triangle, an inverted triangle, a
+circle or a labelled square, assembled by hand from a fixed template so
+identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset import QuotientPoset, detect_peaks, detect_valleys
+from .poset import QuotientPoset, detect_peaks, detect_valleys, nonsimple_points
 from .ranges import MountainRange
 
 ASCII = "ascii"
@@ -31,63 +33,40 @@ class RenderSpec:
             raise ValueError(f"format must be {ASCII!r} or {SVG!r}, got {self.format!r}")
 
 
-@dataclass(frozen=True)
-class _Cell:
-    tb: int
-    r: int
-    kind: str  # "peak" | "valley" | "member" | "multi"
-    label: str = ""
+def _grid(model, spec: RenderSpec) -> tuple[dict[tuple[int, int], str], int, int]:
+    """Each drawn point's mark, in window order, plus the (top, floor) rows.
 
-
-def _range_cells(rng: MountainRange, tb_min: int) -> list[_Cell]:
-    rng.require_valid()
-    peak_pts = {(p.tb, p.r) for p in rng.peaks}
-    valley_pts = {(v.tb, v.r) for v in rng.valleys()}
-    cells = []
-    for tb in range(rng.top_tb, tb_min - 1, -1):
-        for r in rng.level_points(tb):
-            if (tb, r) in peak_pts:
-                kind = "peak"
-            elif (tb, r) in valley_pts:
-                kind = "valley"
-            else:
-                kind = "member"
-            cells.append(_Cell(tb, r, kind))
-    return cells
-
-
-def _poset_cells(poset: QuotientPoset) -> list[_Cell]:
-    peak_pts = {n.point for n in detect_peaks(poset)}
-    valley_pts = {n.point for n in detect_valleys(poset)}
-    cells = []
-    for pt in poset.points():
-        size = poset.fiber_size(*pt)
-        if size > 1:
-            cells.append(_Cell(pt[0], pt[1], "multi", str(size) if size <= 9 else "#"))
-        elif pt in peak_pts:
-            cells.append(_Cell(pt[0], pt[1], "peak"))
-        elif pt in valley_pts:
-            cells.append(_Cell(pt[0], pt[1], "valley"))
-        else:
-            cells.append(_Cell(pt[0], pt[1], "member"))
-    return cells
-
-
-def _cells_of(model, spec: RenderSpec) -> tuple[list[_Cell], int, int]:
-    """Cells plus the (top, floor) rows of the drawing window."""
+    A point of several classes is marked by its fiber size, ``#`` above 9;
+    any other point by ``^`` for a peak (a parentless node), ``v`` for a
+    valley and ``o`` otherwise.
+    """
     if isinstance(model, MountainRange):
         top = model.top_tb
         tb_min = spec.tb_min if spec.tb_min is not None else top - 8
-        return _range_cells(model, tb_min), top, tb_min
-    if isinstance(model, QuotientPoset):
-        return _poset_cells(model), model.top_tb, model.tb_min
-    raise TypeError(f"cannot render {type(model).__name__}")
+        model.require_valid()
+        points = [(tb, r) for tb in range(top, tb_min - 1, -1) for r in model.level_points(tb)]
+        peaks = {(p.tb, p.r) for p in model.peaks}
+        valleys = {(v.tb, v.r) for v in model.valleys()}
+        crowded = {}
+    elif isinstance(model, QuotientPoset):
+        top, tb_min = model.top_tb, model.tb_min
+        points = model.points()
+        peaks = {n.point for n in detect_peaks(model)}
+        valleys = {n.point for n in detect_valleys(model)}
+        crowded = dict(nonsimple_points(model))
+    else:
+        raise TypeError(f"cannot render {type(model).__name__}")
+    grid = {}
+    for pt in points:
+        size = crowded.get(pt)
+        if size:
+            grid[pt] = str(size) if size <= 9 else "#"
+        else:
+            grid[pt] = "^" if pt in peaks else "v" if pt in valleys else "o"
+    return grid, top, tb_min
 
 
 # --- ascii ---------------------------------------------------------------------
-
-_ASCII_MARK = {"peak": "^", "valley": "v", "member": "o"}
-
 
 _EMPTY_ASCII = "(empty diagram)\n"
 
@@ -106,29 +85,20 @@ def placeholder(format: str = ASCII) -> bytes:
 
 
 def render_ascii(model, spec: RenderSpec | None = None) -> str:
-    spec = spec or RenderSpec(ASCII)
-    cells, top, tb_min = _cells_of(model, spec)
-    if not cells or tb_min > top:
+    grid, top, tb_min = _grid(model, spec or RenderSpec(ASCII))
+    if not grid:
         return _EMPTY_ASCII
-    by_point = {(c.tb, c.r): c for c in cells}
-    parity_by_row = {c.tb: (c.tb + c.r) % 2 for c in cells}
-    r_lo = min(c.r for c in cells)
-    r_hi = max(c.r for c in cells)
+    parity = {tb: (tb + r) % 2 for tb, r in grid}
+    r_lo, r_hi = min(r for _tb, r in grid), max(r for _tb, r in grid)
     label_w = max(len(str(tb)) for tb in range(tb_min, top + 1))
     lines = []
     for tb in range(top, tb_min - 1, -1):
-        row = []
-        for r in range(r_lo, r_hi + 1):
-            c = by_point.get((tb, r))
-            if c is not None:
-                row.append(c.label if c.kind == "multi" else _ASCII_MARK[c.kind])
-            elif tb in parity_by_row and (tb + r) % 2 == parity_by_row[tb]:
-                row.append(".")
-            else:
-                row.append(" ")
-        lines.append(f"tb {str(tb).rjust(label_w)} |{''.join(row)}|")
-    width = r_hi - r_lo + 1
-    lines.append(f"tb {' ' * label_w} +{'-' * width}+")
+        row = "".join(
+            grid.get((tb, r)) or ("." if (tb + r) % 2 == parity.get(tb) else " ")
+            for r in range(r_lo, r_hi + 1)
+        )
+        lines.append(f"tb {str(tb).rjust(label_w)} |{row}|")
+    lines.append(f"tb {' ' * label_w} +{'-' * (r_hi - r_lo + 1)}+")
     lines.append(f"   {' ' * label_w}  r = {r_lo} .. {r_hi}")
     return "\n".join(lines) + "\n"
 
@@ -138,16 +108,13 @@ def render_ascii(model, spec: RenderSpec | None = None) -> str:
 _X_UNIT = 14
 _Y_UNIT = 26
 _PAD = 40
-_COLORS = {"peak": "#c0392b", "valley": "#2471a3", "member": "#7f8c8d", "multi": "#8e44ad"}
 
 
 def render_svg(model, spec: RenderSpec | None = None) -> str:
-    spec = spec or RenderSpec(SVG)
-    cells, top, tb_min = _cells_of(model, spec)
-    if not cells or tb_min > top:
+    grid, top, tb_min = _grid(model, spec or RenderSpec(SVG))
+    if not grid:
         return _EMPTY_SVG
-    r_lo = min(c.r for c in cells)
-    r_hi = max(c.r for c in cells)
+    r_lo, r_hi = min(r for _tb, r in grid), max(r for _tb, r in grid)
 
     def x(r: int) -> int:
         return _PAD + (r - r_lo) * _X_UNIT
@@ -157,42 +124,32 @@ def render_svg(model, spec: RenderSpec | None = None) -> str:
 
     width = 2 * _PAD + (r_hi - r_lo) * _X_UNIT
     height = 2 * _PAD + (top - tb_min) * _Y_UNIT
-    points = {(c.tb, c.r) for c in cells}
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for c in sorted(cells, key=lambda c: (-c.tb, c.r)):
+    for tb, r in grid:
         for dr in (-1, 1):
-            if (c.tb - 1, c.r + dr) in points:
+            if (tb - 1, r + dr) in grid:
                 out.append(
-                    f'<line x1="{x(c.r)}" y1="{y(c.tb)}" x2="{x(c.r + dr)}" '
-                    f'y2="{y(c.tb - 1)}" stroke="#d5d8dc" stroke-width="1"/>'
+                    f'<line x1="{x(r)}" y1="{y(tb)}" x2="{x(r + dr)}" '
+                    f'y2="{y(tb - 1)}" stroke="#d5d8dc" stroke-width="1"/>'
                 )
-    for c in sorted(cells, key=lambda c: (-c.tb, c.r)):
-        cx, cy = x(c.r), y(c.tb)
-        color = _COLORS[c.kind]
-        if c.kind == "peak":
-            out.append(
-                f'<polygon points="{cx},{cy - 6} {cx - 6},{cy + 5} {cx + 6},{cy + 5}" '
-                f'fill="{color}"/>'
-            )
-        elif c.kind == "valley":
-            out.append(
-                f'<polygon points="{cx},{cy + 6} {cx - 6},{cy - 5} {cx + 6},{cy - 5}" '
-                f'fill="{color}"/>'
-            )
-        elif c.kind == "multi":
-            out.append(
-                f'<rect x="{cx - 7}" y="{cy - 7}" width="14" height="14" fill="{color}"/>'
-            )
+    for (tb, r), mark in grid.items():
+        cx, cy = x(r), y(tb)
+        if mark == "^":
+            out.append(f'<polygon points="{cx},{cy - 6} {cx - 6},{cy + 5} {cx + 6},{cy + 5}" fill="#c0392b"/>')
+        elif mark == "v":
+            out.append(f'<polygon points="{cx},{cy + 6} {cx - 6},{cy - 5} {cx + 6},{cy - 5}" fill="#2471a3"/>')
+        elif mark == "o":
+            out.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="#7f8c8d"/>')
+        else:
+            out.append(f'<rect x="{cx - 7}" y="{cy - 7}" width="14" height="14" fill="#8e44ad"/>')
             out.append(
                 f'<text x="{cx}" y="{cy + 4}" text-anchor="middle" font-family="monospace" '
-                f'font-size="11" fill="#ffffff">{c.label}</text>'
+                f'font-size="11" fill="#ffffff">{mark}</text>'
             )
-        else:
-            out.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>')
     for tb in range(top, tb_min - 1, -1):
         out.append(
             f'<text x="{_PAD - 28}" y="{y(tb) + 4}" font-family="monospace" '

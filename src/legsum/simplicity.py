@@ -118,53 +118,24 @@ def _valley_parents(rng: MountainRange, which: int) -> tuple[SimpleClass, Simple
 def nonsimplicity_witness(spec: SumSpec) -> WitnessPair:
     """The explicit colliding pair behind a negative criterion verdict.
 
-    With two multi-peak summands, one valley of each is split: tuple A takes
-    the left parent of the first valley and the right parent of the second,
-    tuple B the other diagonal.  With a single multi-peak summand (several
-    peaks, several copies) its first two valleys play those roles.  All
-    remaining positions are filled with a fixed maximal peak of their knot.
+    Two valleys are split, each given as (range, valley index): the first
+    valley of each of the first two multi-peak summands, or, with a single
+    multi-peak summand (several peaks, several copies), its first two
+    valleys.  Tuple A takes the left parent of the first and the right
+    parent of the second, tuple B the other diagonal.  Every other copy of
+    every summand sits at its knot's maximal peak.
     """
     if criterion(spec).simple:
         raise NotApplicable("the sum is simple; no witness exists")
-    multi = [
-        (s, rng) for s, rng in zip(spec.summands, spec.ranges) if rng.peak_count >= 2
-    ]
-
-    factors_a: list[SimpleClass] = []
-    factors_b: list[SimpleClass] = []
-
-    def fill(rng: MountainRange, count: int) -> None:
+    multi = [rng for rng in spec.ranges if rng.peak_count >= 2]
+    split = [(multi[0], 0), (multi[1], 0)] if len(multi) >= 2 else [(multi[0], 0), (multi[0], 1)]
+    (l1, r1), (l2, r2) = (_valley_parents(rng, which) for rng, which in split)
+    rest: list[SimpleClass] = []
+    for s, rng in zip(spec.summands, spec.ranges):
         p = rng.max_peak()
-        for _ in range(count):
-            cls = SimpleClass(rng.knot_id, p.tb, p.r)
-            factors_a.append(cls)
-            factors_b.append(cls)
-
-    if len(multi) >= 2:
-        (s1, rng1), (s2, rng2) = multi[0], multi[1]
-        l1, r1 = _valley_parents(rng1, 0)
-        l2, r2 = _valley_parents(rng2, 0)
-        factors_a += [l1, r2]
-        factors_b += [r1, l2]
-        fill(rng1, s1.count - 1)
-        fill(rng2, s2.count - 1)
-        used = {s1.knot_id, s2.knot_id}
-        for s, rng in zip(spec.summands, spec.ranges):
-            if s.knot_id not in used:
-                fill(rng, s.count)
-    else:
-        s1, rng1 = multi[0]
-        l1, r1 = _valley_parents(rng1, 0)
-        l2, r2 = _valley_parents(rng1, 1)
-        factors_a += [l1, r2]
-        factors_b += [r1, l2]
-        fill(rng1, s1.count - 2)
-        for s, rng in zip(spec.summands, spec.ranges):
-            if s.knot_id != s1.knot_id:
-                fill(rng, s.count)
-
-    tuple_a = canonicalize_tuple(spec, factors_a)
-    tuple_b = canonicalize_tuple(spec, factors_b)
+        rest += [SimpleClass(rng.knot_id, p.tb, p.r)] * (s.count - sum(rng is used for used, _ in split))
+    tuple_a = canonicalize_tuple(spec, [l1, r2, *rest])
+    tuple_b = canonicalize_tuple(spec, [r1, l2, *rest])
     return WitnessPair(tuple_a.invariants(), tuple_a, tuple_b)
 
 

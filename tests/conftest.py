@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -18,6 +19,14 @@ settings.register_profile(
 settings.load_profile("fast")
 
 GRID_NAMES = ("U1", "C", "A", "B", "Aprime")
+
+# JSON texts that ``json.loads`` rejects with ``RecursionError`` or, under an
+# integer digit limit, ``ValueError`` instead of ``JSONDecodeError``; each
+# with a piece of the message.
+UNPARSABLE_JSON = [pytest.param("[" * 200_000, "recursion depth", id="deep")]
+if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+    long_int = "1" * (sys.get_int_max_str_digits() + 1)
+    UNPARSABLE_JSON.append(pytest.param('{"peaks": [[0, ' + long_int + "]]}", "digits", id="long-int"))
 
 
 @pytest.fixture(scope="session")

@@ -16,13 +16,16 @@ algorithm than the library uses:
 * generator classes via the valley-depth join test ``a >= alpha`` on cone
   coordinates instead of the presence of both generators;
 * window assembly point by point, each class placed and found by a
-  ``(tb, r, root)`` key, instead of a level row at a time.
+  ``(tb, r, root)`` key, instead of a level row at a time;
+* figures drawn from per-kind cells, one builder for ranges and one for
+  windows, instead of one mark grid.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 
 import legsum as L
 from legsum import sums
@@ -365,3 +368,179 @@ def point_window(spec: L.SumSpec, tb_min: int) -> L.QuotientPoset:
             child = (node.tb - 1, node.r + step)
             kids.append([where[(*child, gens.components(*child)[root] if gens.boxed(*child) else None)]])
     return L.QuotientPoset(nodes, steps, tb_min, spec.top_tb, top_is_global=True)
+
+
+# --- figures drawn from per-kind cells -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Cell:
+    tb: int
+    r: int
+    kind: str  # "peak" | "valley" | "member" | "multi"
+    label: str = ""
+
+
+def _range_cells(rng: L.MountainRange, tb_min: int) -> list[_Cell]:
+    rng.require_valid()
+    peak_pts = {(p.tb, p.r) for p in rng.peaks}
+    valley_pts = {(v.tb, v.r) for v in rng.valleys()}
+    cells = []
+    for tb in range(rng.top_tb, tb_min - 1, -1):
+        for r in rng.level_points(tb):
+            if (tb, r) in peak_pts:
+                kind = "peak"
+            elif (tb, r) in valley_pts:
+                kind = "valley"
+            else:
+                kind = "member"
+            cells.append(_Cell(tb, r, kind))
+    return cells
+
+
+def _poset_cells(poset: L.QuotientPoset) -> list[_Cell]:
+    peak_pts = {n.point for n in L.detect_peaks(poset)}
+    valley_pts = {n.point for n in L.detect_valleys(poset)}
+    cells = []
+    for pt in poset.points():
+        size = poset.fiber_size(*pt)
+        if size > 1:
+            cells.append(_Cell(pt[0], pt[1], "multi", str(size) if size <= 9 else "#"))
+        elif pt in peak_pts:
+            cells.append(_Cell(pt[0], pt[1], "peak"))
+        elif pt in valley_pts:
+            cells.append(_Cell(pt[0], pt[1], "valley"))
+        else:
+            cells.append(_Cell(pt[0], pt[1], "member"))
+    return cells
+
+
+def _cells_of(model, spec: L.RenderSpec) -> tuple[list[_Cell], int, int]:
+    """Cells plus the (top, floor) rows of the drawing window."""
+    if isinstance(model, L.MountainRange):
+        top = model.top_tb
+        tb_min = spec.tb_min if spec.tb_min is not None else top - 8
+        return _range_cells(model, tb_min), top, tb_min
+    if isinstance(model, L.QuotientPoset):
+        return _poset_cells(model), model.top_tb, model.tb_min
+    raise TypeError(f"cannot render {type(model).__name__}")
+
+
+_ASCII_MARK = {"peak": "^", "valley": "v", "member": "o"}
+
+_EMPTY_ASCII = "(empty diagram)\n"
+
+_EMPTY_SVG = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="200" height="60" '
+    'viewBox="0 0 200 60">\n'
+    '<rect width="200" height="60" fill="#ffffff"/>\n'
+    '<text x="12" y="34" font-family="monospace" font-size="13">(empty diagram)</text>\n'
+    "</svg>\n"
+)
+
+
+def cell_render_ascii(model, spec: L.RenderSpec | None = None) -> str:
+    """:func:`legsum.render_ascii` as the library drew it from per-kind cells.
+
+    Ranges and windows each have their own cell builder, and the marks,
+    bounds and row parities are read back off the cells.
+    """
+    spec = spec or L.RenderSpec("ascii")
+    cells, top, tb_min = _cells_of(model, spec)
+    if not cells or tb_min > top:
+        return _EMPTY_ASCII
+    by_point = {(c.tb, c.r): c for c in cells}
+    parity_by_row = {c.tb: (c.tb + c.r) % 2 for c in cells}
+    r_lo = min(c.r for c in cells)
+    r_hi = max(c.r for c in cells)
+    label_w = max(len(str(tb)) for tb in range(tb_min, top + 1))
+    lines = []
+    for tb in range(top, tb_min - 1, -1):
+        row = []
+        for r in range(r_lo, r_hi + 1):
+            c = by_point.get((tb, r))
+            if c is not None:
+                row.append(c.label if c.kind == "multi" else _ASCII_MARK[c.kind])
+            elif tb in parity_by_row and (tb + r) % 2 == parity_by_row[tb]:
+                row.append(".")
+            else:
+                row.append(" ")
+        lines.append(f"tb {str(tb).rjust(label_w)} |{''.join(row)}|")
+    width = r_hi - r_lo + 1
+    lines.append(f"tb {' ' * label_w} +{'-' * width}+")
+    lines.append(f"   {' ' * label_w}  r = {r_lo} .. {r_hi}")
+    return "\n".join(lines) + "\n"
+
+
+_X_UNIT = 14
+_Y_UNIT = 26
+_PAD = 40
+_COLORS = {"peak": "#c0392b", "valley": "#2471a3", "member": "#7f8c8d", "multi": "#8e44ad"}
+
+
+def cell_render_svg(model, spec: L.RenderSpec | None = None) -> str:
+    """:func:`legsum.render_svg` as the library drew it from per-kind cells, sorted twice."""
+    spec = spec or L.RenderSpec("svg")
+    cells, top, tb_min = _cells_of(model, spec)
+    if not cells or tb_min > top:
+        return _EMPTY_SVG
+    r_lo = min(c.r for c in cells)
+    r_hi = max(c.r for c in cells)
+
+    def x(r: int) -> int:
+        return _PAD + (r - r_lo) * _X_UNIT
+
+    def y(tb: int) -> int:
+        return _PAD + (top - tb) * _Y_UNIT
+
+    width = 2 * _PAD + (r_hi - r_lo) * _X_UNIT
+    height = 2 * _PAD + (top - tb_min) * _Y_UNIT
+    points = {(c.tb, c.r) for c in cells}
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+    for c in sorted(cells, key=lambda c: (-c.tb, c.r)):
+        for dr in (-1, 1):
+            if (c.tb - 1, c.r + dr) in points:
+                out.append(
+                    f'<line x1="{x(c.r)}" y1="{y(c.tb)}" x2="{x(c.r + dr)}" '
+                    f'y2="{y(c.tb - 1)}" stroke="#d5d8dc" stroke-width="1"/>'
+                )
+    for c in sorted(cells, key=lambda c: (-c.tb, c.r)):
+        cx, cy = x(c.r), y(c.tb)
+        color = _COLORS[c.kind]
+        if c.kind == "peak":
+            out.append(
+                f'<polygon points="{cx},{cy - 6} {cx - 6},{cy + 5} {cx + 6},{cy + 5}" '
+                f'fill="{color}"/>'
+            )
+        elif c.kind == "valley":
+            out.append(
+                f'<polygon points="{cx},{cy + 6} {cx - 6},{cy - 5} {cx + 6},{cy - 5}" '
+                f'fill="{color}"/>'
+            )
+        elif c.kind == "multi":
+            out.append(
+                f'<rect x="{cx - 7}" y="{cy - 7}" width="14" height="14" fill="{color}"/>'
+            )
+            out.append(
+                f'<text x="{cx}" y="{cy + 4}" text-anchor="middle" font-family="monospace" '
+                f'font-size="11" fill="#ffffff">{c.label}</text>'
+            )
+        else:
+            out.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>')
+    for tb in range(top, tb_min - 1, -1):
+        out.append(
+            f'<text x="{_PAD - 28}" y="{y(tb) + 4}" font-family="monospace" '
+            f'font-size="11" fill="#2c3e50">{tb}</text>'
+        )
+    for r in (r_lo, 0, r_hi):
+        if r_lo <= r <= r_hi:
+            out.append(
+                f'<text x="{x(r)}" y="{height - 10}" text-anchor="middle" '
+                f'font-family="monospace" font-size="11" fill="#2c3e50">{r}</text>'
+            )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

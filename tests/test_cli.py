@@ -14,6 +14,8 @@ import pytest
 import legsum
 from legsum.cli import build_parser, main
 
+from conftest import UNPARSABLE_JSON
+
 GOLDEN_A_ASCII = (
     "tb  0 |. ^ . ^ .|\n"
     "tb -1 | o o o o |\n"
@@ -176,6 +178,16 @@ def test_domain_errors_exit_1(capsys):
         assert rc == 1, argv
         assert err.startswith("error: "), argv
         assert out == "", argv
+
+
+@pytest.mark.parametrize("data, needle", UNPARSABLE_JSON)
+def test_documents_too_deep_or_long_to_parse_exit_1(capsys, tmp_path, data, needle):
+    doc = tmp_path / "big.json"
+    doc.write_text(data)
+    for argv in (["validate", "--knot", str(doc)], ["criterion", "--spec", str(doc)]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, ""), argv
+        assert err.startswith(f"error: {doc}: ") and needle in err and "Traceback" not in err, argv
 
 
 def test_main_accepts_argv_tuple(capsys):
@@ -361,7 +373,8 @@ def test_fiber_outside_the_sum(capsys):
         assert "classes\t0\n" in out
 
 
-def test_sum_json_walks_each_one_class_point_once(monkeypatch, capsys):
+def count_walks(monkeypatch) -> collections.Counter:
+    """Calls of ``_Generators.tuples`` by point, from now on."""
     walked = collections.Counter()
     tuples = legsum.sums._Generators.tuples
 
@@ -370,12 +383,35 @@ def test_sum_json_walks_each_one_class_point_once(monkeypatch, capsys):
         return tuples(gens, tb, r)
 
     monkeypatch.setattr(legsum.sums._Generators, "tuples", counted)
+    return walked
+
+
+def test_sum_json_walks_each_one_class_point_once(monkeypatch, capsys):
+    walked = count_walks(monkeypatch)
     rc, out, _ = run(capsys, "sum", "--spec", "A:2,B:2", "--depth", "6", "--format", "json")
     assert rc == 0
     classes = collections.Counter(tuple(node["point"]) for node in json.loads(out)["nodes"])
     assert set(walked) == set(classes) and 1 in classes.values()
     for point, count in classes.items():
         assert walked[point] == (1 if count == 1 else 2), point
+
+
+def test_sum_text_walks_each_one_class_point_once(monkeypatch, capsys):
+    walked = count_walks(monkeypatch)
+    rc, out, _ = run(capsys, "sum", "--spec", "A:2,B:2", "--depth", "6", "--format", "text")
+    assert rc == 0
+    rows = [row.split("\t") for row in out.splitlines()]
+    classes = collections.Counter((int(row[1]), int(row[2])) for row in rows if row[0] == "node")
+    assert set(walked) == set(classes) and 1 in classes.values()
+    for point, count in classes.items():
+        assert walked[point] == (1 if count == 1 else 2), point
+
+
+def test_fiber_json_walks_its_one_class_point_once(monkeypatch, capsys):
+    walked = count_walks(monkeypatch)
+    rc, out, _ = run(capsys, "fiber", "--spec", "A:2", "--tb=-1", "--r=0", "--format", "json")
+    assert rc == 0 and json.loads(out)["class_count"] == 1
+    assert walked == {(-1, 0): 1}
 
 
 # --- simplicity commands -------------------------------------------------------------

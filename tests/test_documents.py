@@ -26,6 +26,8 @@ from legsum.documents import (
 )
 from legsum.errors import ParseError, RangeInvalid, SchemaError
 
+from conftest import UNPARSABLE_JSON
+
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "legsum" / "data"
 
 
@@ -203,6 +205,14 @@ def test_parse_knot_document_rejects(data, exc, needle):
     with pytest.raises(exc) as err:
         parse_knot_document(data)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("data, needle", UNPARSABLE_JSON)
+def test_documents_too_deep_or_long_to_parse_raise_parse_error(cat, data, needle):
+    for parse in (parse_knot_document, lambda d, source: parse_sum_document(d, cat, source)):
+        with pytest.raises(ParseError, match=r"^big\.json: ") as err:
+            parse(data, source="big.json")
+        assert needle in str(err.value)
 
 
 def test_parse_knot_document_source_prefix():

@@ -1,0 +1,84 @@
+"""Figures: the mark grid against the per-kind cell renderer it replaced."""
+
+from __future__ import annotations
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import legsum as L
+from legsum.cli import main
+
+from conftest import make_grid_specs, random_sums, wide_step_sums
+from oracles import cell_render_ascii, cell_render_svg
+
+GOLDEN_B2_ASCII = (
+    "tb  1 | . ^ . ^ . 2 . ^ . ^ . |\n"
+    "tb  0 |. o o o o 2 2 o o o o .|\n"
+    "tb -1 | o o v o v 2 v o v o o |\n"
+    "tb -2 |o o o o o v v o o o o o|\n"
+    "tb    +-----------------------+\n"
+    "       r = -11 .. 11\n"
+)
+
+
+def assert_draws_like_cells(model, spec: L.RenderSpec | None = None) -> None:
+    assert L.render_ascii(model, spec) == cell_render_ascii(model, spec)
+    assert L.render_svg(model, spec) == cell_render_svg(model, spec)
+
+
+def test_ranges_draw_like_cells(cat):
+    for rng in cat.values():
+        for tb_min in [rng.top_tb - depth for depth in range(10)] + [rng.top_tb + 1, None]:
+            assert_draws_like_cells(rng, L.RenderSpec(tb_min=tb_min))
+
+
+def test_grid_windows_draw_like_cells(cat):
+    for spec in make_grid_specs(cat):
+        for depth in (0, 3, 6):
+            assert_draws_like_cells(L.build_quotient(spec, spec.top_tb - depth))
+
+
+def test_hand_built_window_draws_like_cells():
+    # A top that is not global, a valley, a parentless node of the other
+    # parity in its row, an empty row, and fibers of 11, 9 and 2 classes.
+    crowds = [(f"k{r}{i:02}", -1, r) for r, size in ((0, 11), (2, 9), (4, 2)) for i in range(size)]
+    window = L.QuotientPoset.from_parts(
+        [("t1", 3, -2), ("t2", 3, 2), ("p", 2, -1), ("q", 2, 1), ("v", 1, 0), ("w", 1, 3), *crowds],
+        [("t1", "+", "p"), ("t2", "-", "q"), ("p", "+", "v"), ("q", "-", "v")],
+        tb_min=-1,
+        top_tb=3,
+    )
+    assert L.render_ascii(window).splitlines()[:6] == [
+        "tb  3 |^ . ^ .|",
+        "tb  2 | o o . |",
+        "tb  1 | .v. ^ |",
+        "tb  0 |       |",
+        "tb -1 |. # 9 2|",
+        "tb    +-------+",
+    ]
+    assert_draws_like_cells(window)
+
+
+def test_crowded_fibers_draw_like_cells(cat):
+    # B:5 has fibers of up to 3 classes; A:3,B:3,Aprime:3 has one of 26.
+    for parts, depth in (([("B", 5)], 8), ([("A", 3), ("B", 3), ("Aprime", 3)], 6)):
+        spec = L.SumSpec.of([(cat[name], count) for name, count in parts])
+        window = L.build_quotient(spec, spec.top_tb - depth)
+        assert_draws_like_cells(window)
+    assert "#" in L.render_ascii(window)
+
+
+def test_empty_window_draws_like_cells():
+    empty = L.QuotientPoset.from_parts([], [], tb_min=0, top_tb=0)
+    assert L.render_ascii(empty) == "(empty diagram)\n"
+    assert_draws_like_cells(empty)
+
+
+@given(st.one_of(random_sums(), wide_step_sums()), st.integers(0, 10))
+def test_random_windows_draw_like_cells(spec, depth):
+    assert_draws_like_cells(L.build_quotient(spec, spec.top_tb - depth))
+
+
+def test_render_window_ascii_golden(capsys):
+    assert main(["render", "--spec", "B:2", "--depth", "3"]) == 0
+    assert capsys.readouterr().out == GOLDEN_B2_ASCII

@@ -12,7 +12,7 @@ from legsum.simplicity import (
     CASE_TWO_PEAK,
 )
 
-from conftest import random_sums
+from conftest import random_sums, wide_step_sums
 from oracles import form_representations
 
 
@@ -91,7 +91,7 @@ def witness_classes(spec: L.SumSpec, w: L.WitnessPair) -> tuple[int, int]:
     return ia[0], ib[0]
 
 
-@given(random_sums())
+@given(st.one_of(random_sums(), wide_step_sums()))
 def test_criterion_matches_window_on_random_ranges(spec):
     verdict = L.criterion(spec)
     tb_min = spec.top_tb - 3
