@@ -37,6 +37,7 @@ class Result:
     text: str
     figure: bytes | None = None
     code: int = 0
+    document: str | None = None  # the JSON document, when the command writes it itself
 
 
 def _rows(*rows) -> str:
@@ -166,16 +167,17 @@ def cmd_sum(args, parser) -> Result:
     spec = _load_spec(args, parser)
     poset = build_quotient(spec, _window_floor(args, spec.top_tb))
     if args.format == "json":
-        return Result({"spec": spec.label(), **to_jsonable(poset)}, "")
+        return Result({}, "", document=documents.dump_sum_json(spec.label(), poset))
     # Node rows first: a one-class node's members, read for its size, then
-    # give its key, so its point is walked once.
+    # give its key, so its point is walked once.  The members, not the ids:
+    # text prints no member id, so none is formatted.
     nodes = [["node", n.tb, n.r, n.size, n.key] for n in poset]
     rows = [
         ["spec", spec.label()],
         ["top_tb", poset.top_tb],
         ["tb_min", poset.tb_min],
         ["nodes", len(poset)],
-        ["edges", len(poset.edges)],
+        ["edges", poset.edge_count],
     ]
     return Result({}, _rows(*rows, *nodes))
 
@@ -195,8 +197,9 @@ def cmd_fiber(args, parser) -> Result:
         return Result(payload, "")
     rows = [["spec", spec.label()], ["point", args.tb, args.r], ["classes", len(classes)]]
     for i, c in enumerate(classes):
-        rows.append(["class", i, c.size, c.representative.id_string()])
-        rows += [["member", i, t.id_string()] for t in c.members]
+        ids = c.ids  # before the key, which a one-class node then reads off them
+        rows.append(["class", i, len(ids), c.key])
+        rows += [["member", i, x] for x in ids]
     return Result({}, _rows(*rows))
 
 
@@ -432,7 +435,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result: Result = args.func(args, parser)
-        body = dump_json({"command": args.command, **result.payload}) if args.format == "json" else result.text
+        if args.format == "json":
+            body = result.document or dump_json({"command": args.command, **result.payload})
+        else:
+            body = result.text
         if args.out and result.figure is not None:
             Path(args.out).write_bytes(result.figure)
         elif args.out:

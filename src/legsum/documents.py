@@ -13,13 +13,17 @@ canonical form of the same content.  :func:`dump_json` writes the bytes of
 recursive writer covers what legsum payloads hold (exact ``str``, ``int``,
 ``list``, ``tuple`` and ``str``-keyed dicts), since indented ``json.dumps``
 runs the standard library's pure-Python encoder before Python 3.13; every
-other value is handed to ``json.dumps``.
+other value is handed to ``json.dumps``.  :func:`dump_sum_json` writes the
+``sum`` document of a window straight from its nodes, member ids and child
+positions, byte for byte what :func:`dump_json` makes of its
+:func:`to_jsonable` payload, which stays the test oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import sys
 from importlib import resources
 from typing import Mapping
 
@@ -111,12 +115,47 @@ def _encode(o, nl: str, markers: dict) -> str:
     return text
 
 
+def dump_sum_json(spec: str, poset: QuotientPoset) -> str:
+    """The ``sum --format json`` document of a window, written from its positions.
+
+    Byte for byte ``dump_json({"command": "sum", "spec": spec,
+    **to_jsonable(poset)})``, for a window whose points are ``int`` pairs,
+    as every window's are.  Nodes are written in window order from their
+    ids (:attr:`PosetNode.ids`, read before the key, so a one-class point
+    is walked once), each key escaped once.  Edges are written from the
+    window's child positions, in the ``(parent, sign, child)`` order of the
+    raw keys that :attr:`QuotientPoset.edges` has.  No
+    :class:`~legsum.poset.Edge`, node dict or edge dict is made.
+    """
+    escaped, nodes = [], []
+    for n in poset:
+        ids = n.ids
+        key = _escape(n.key)
+        escaped.append(key)
+        members = ("[\n        " + ",\n        ".join(map(_escape, ids)) + "\n      ]") if ids else "[]"
+        nodes.append(
+            f'{{\n      "id": {key},\n      "members": {members},\n      "point": [\n        {n.tb},\n        {n.r}\n'
+            f'      ],\n      "size": {len(ids)}\n    }}'
+        )
+    edges = [
+        f'{{\n      "child": {escaped[c]},\n      "parent": {escaped[i]},\n      "sign": {_escape(sign)}\n    }}'
+        for i, sign, c in poset._links()
+    ]
+    return (
+        '{\n  "command": "sum",\n  "edges": '
+        + (("[\n    " + ",\n    ".join(edges) + "\n  ]") if edges else "[]")
+        + f',\n  "node_count": {len(nodes)},\n  "nodes": '
+        + (("[\n    " + ",\n    ".join(nodes) + "\n  ]") if nodes else "[]")
+        + f',\n  "spec": {_escape(spec)},\n  "tb_min": {poset.tb_min},\n  "top_tb": {poset.top_tb}\n}}\n'
+    )
+
+
 def _load_json(data: bytes | str, source: str):
     """Decode UTF-8 bytes and parse JSON, reporting any failure as ParseError.
 
     Besides malformed text, ``json.loads`` raises ``ValueError`` for an
-    integer longer than the interpreter's digit limit and ``RecursionError``
-    for nesting too deep to parse.
+    integer longer than the interpreter's digit limit, reported with that
+    limit, and ``RecursionError`` for nesting too deep to parse.
     """
     if isinstance(data, bytes):
         try:
@@ -127,7 +166,9 @@ def _load_json(data: bytes | str, source: str):
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
+        raise ParseError(f"{source}: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
         raise ParseError(f"{source}: {exc}") from exc
 
 

@@ -39,23 +39,33 @@ class PosetNode:
     """One equivalence class in the window: an immutable value.
 
     ``members`` holds the canonical tuples of the class, representative
-    first; hand-built fixture nodes leave it empty.  A built node takes its
-    members, and at a one-class point its representative, as callables that
-    run on first read only (see :meth:`_lazy`), so outputs that never list
-    or name a class never enumerate it; the key is the representative's id
-    string.  Equality and repr read the members; the hash does not.
+    first; hand-built fixture nodes leave it empty.  ``ids`` holds their id
+    strings, in the same order.  A built node takes its members, and at a
+    one-class point its representative and ids, as callables that run on
+    first read only (see :meth:`_lazy`), so outputs that never list or name
+    a class never enumerate it; the key is the representative's id string.
+    At a one-class point the ids are walked as text, with no tuple objects,
+    and the first of them gives the key, so reading ``ids`` before ``key``
+    walks the point once.  Elsewhere the ids are read off the members, and
+    the key off the representative.  Equality and repr read the members;
+    the hash does not.
     """
 
-    __slots__ = ("_key", "tb", "r", "_representative", "_members")
+    __slots__ = ("_key", "tb", "r", "_representative", "_members", "_ids")
 
     def __init__(self, key: str, tb: int, r: int, members: tuple = ()) -> None:
-        _fill(self, key, tb, r, members[0] if members else None, members)
+        _fill(self, key, tb, r, members[0] if members else None, members, None)
 
     @classmethod
-    def _lazy(cls, tb: int, r: int, representative, members: Callable[[], tuple]) -> "PosetNode":
-        """A node whose members, and representative if callable, are made on first read."""
+    def _lazy(
+        cls, tb: int, r: int, representative, members: Callable[[], tuple], ids: Callable[[], tuple] | None = None
+    ) -> "PosetNode":
+        """A node whose members, representative if callable, and ids if given are made on first read.
+
+        Without ``ids``, the ids are read off the members.
+        """
         node = object.__new__(cls)
-        _fill(node, None, tb, r, representative, members)
+        _fill(node, None, tb, r, representative, members, ids)
         return node
 
     def __setattr__(self, name: str, value) -> None:
@@ -78,9 +88,28 @@ class PosetNode:
     @property
     def members(self) -> tuple:
         members = self._settle("_members")
-        if callable(self._representative):  # the first member, without keeping the builder alive
+        # The first member, and ids to be read off the members, without
+        # keeping the builder alive.
+        if callable(self._representative):
             object.__setattr__(self, "_representative", members[0])
+        if callable(self._ids):
+            object.__setattr__(self, "_ids", None)
         return members
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """The members' id strings, in member order.
+
+        While the representative is still to be found, the first id becomes
+        the key, so the key needs no second walk of the point.
+        """
+        ids = self._settle("_ids")
+        if ids is None:
+            ids = tuple([t.id_string() for t in self.members])
+            object.__setattr__(self, "_ids", ids)
+        if self._key is None and callable(self._representative):
+            object.__setattr__(self, "_key", ids[0])
+        return ids
 
     @property
     def representative(self):
@@ -119,14 +148,15 @@ class PosetNode:
 _SET_SLOT = tuple(PosetNode.__dict__[name].__set__ for name in PosetNode.__slots__)
 
 
-def _fill(node: PosetNode, key, tb, r, representative, members) -> None:
+def _fill(node: PosetNode, key, tb, r, representative, members, ids) -> None:
     """Set a node's slots past its frozen ``__setattr__``."""
-    set_key, set_tb, set_r, set_representative, set_members = _SET_SLOT
+    set_key, set_tb, set_r, set_representative, set_members, set_ids = _SET_SLOT
     set_key(node, key)
     set_tb(node, tb)
     set_r(node, r)
     set_representative(node, representative)
     set_members(node, members)
+    set_ids(node, ids)
 
 
 @dataclass(frozen=True)
@@ -227,15 +257,32 @@ class QuotientPoset:
     # --- access -----------------------------------------------------------------
 
     @property
+    def edge_count(self) -> int:
+        """``len(self.edges)``, counted off the child positions with no edge named or sorted."""
+        return sum(len(kids) for down in self._down.values() for kids in down)
+
+    @property
     def edges(self) -> tuple[Edge, ...]:
         """Every edge, sorted by (parent, sign, child) key."""
         if self._edges is None:
-            keys = [n.key for n in self._nodes]
-            links = sorted(
-                (keys[i], sign, keys[c]) for sign, down in self._down.items() for i, kids in enumerate(down) for c in kids
-            )
-            self._edges = tuple(Edge(*link) for link in links)
+            nodes = self._nodes
+            self._edges = tuple(Edge(nodes[i].key, sign, nodes[c].key) for i, sign, c in self._links())
         return self._edges
+
+    def _links(self) -> Iterator[tuple[int, str, int]]:
+        """Every edge as (parent position, sign, child position), in (parent, sign, child) key order.
+
+        The keys of a window are distinct, so that order is the parents by
+        key, then the signs, then each parent's children by key.
+        """
+        keys = [n.key for n in self._nodes]
+        by_key = keys.__getitem__
+        signs = sorted(self._down.items())
+        for i in sorted(range(len(keys)), key=by_key):
+            for sign, down in signs:
+                kids = down[i]
+                for c in sorted(kids, key=by_key) if len(kids) > 1 else kids:
+                    yield i, sign, c
 
     def _keyed(self) -> dict[str, int]:
         """Node positions by key."""

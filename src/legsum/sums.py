@@ -21,7 +21,11 @@ its peak-multiset generator, and stops once every component has its first
 tuple: that tuple is the class's representative and names its node.  A
 one-class point's representative, and every class's members, are found
 only when first read, the members in one pass over the point shared by all
-classes there, so only outputs that name or list them pay for them.
+classes there, so only outputs that name or list them pay for them.  The
+walk has a second leaf form for outputs that list member ids only: it
+carries the text of the tuple so far and makes each id by one string
+concatenation, with no :class:`TupleClass`.  A one-class point's member ids
+come from that walk, and its key is the first of them.
 
 Windows and tuples are both read a level row at a time.  A window of the
 quotient poset is a stack of the sum's level rows, from the top down.  The
@@ -395,7 +399,11 @@ class _Generators:
         return {root: tuple(g) for root, g in groups.items()}
 
     def tuples(self, tb: int, r: int) -> Iterator[TupleClass]:
-        """The canonical tuples at exactly (tb, r), in :meth:`TupleClass.sort_key` order.
+        """The canonical tuples at exactly (tb, r), in :meth:`TupleClass.sort_key` order (see :meth:`walk`)."""
+        return self.walk(tb, r, False)
+
+    def walk(self, tb: int, r: int, text: bool) -> Iterator[TupleClass] | Iterator[str]:
+        """The canonical tuples at exactly (tb, r) in canonical order, as tuples or, if ``text``, as id strings.
 
         Factor positions are filled left to right, each over tb descending
         and r ascending, the candidates of a level sliced from its factor row
@@ -416,23 +424,32 @@ class _Generators:
         tb.  Factors are taken from this builder's rows, interned on first
         use (:meth:`_intern`), so a factor point is one :class:`SimpleClass`,
         its text formatted once, however many tuples hold it.
+        The id form carries the head's text, each factor's followed by
+        ``|``, down the walk, so a member's id is one concatenation of the
+        head and its last two factors' texts.
         """
         last = len(self._slots) - 1
         if last:
-            return self._walk(0, tb - last, r, ())
+            return self._walk(0, tb - last, r, "" if text else (), None, text)
         # One factor: the point itself, if it lies in its level.
         rng, rows = self._slots[0][0], self._slots[0][8]
         row = rows.get(tb) or self._row(rng, rows, tb)
         f = row[1].get(r, False)
         if f is False:
             return iter([])
-        return iter([TupleClass((f or self._intern(rng, row, tb, r),))])
+        f = f or self._intern(rng, row, tb, r)
+        return iter([f._text if text else TupleClass((f,))])
 
-    def _walk(self, i: int, t: int, q: int, head: tuple[SimpleClass, ...]) -> Iterator[TupleClass]:
-        """The tuples that extend ``head`` by positions i, i + 1, ... at factor tb sum t and r sum q."""
+    def _walk(self, i: int, t: int, q: int, head: tuple[SimpleClass, ...] | str, prev: SimpleClass | None, text: bool):
+        """The tuples, or ids if ``text``, extending ``head`` by positions i, i + 1, ... at factor tb sum t, r sum q.
+
+        ``head`` is a tuple of factors, or their ids each followed by ``|``,
+        and ``prev`` its last factor.
+        """
         rng, _offset, top, follows, same, other_top, r_hi, r_lo, rows = self._slots[i]
         row_of, intern = self._row, self._intern
-        prev = head[-1] if follows else None
+        if not follows:
+            prev = None
         cap = prev.tb if prev else top
         inline = i + 2 == len(self._slots)
         if inline:
@@ -448,7 +465,8 @@ class _Generators:
             candidates = level[bisect_left(level, r_min):bisect_right(level, q - r_lo - rest)]
             if not inline:
                 for r_i in candidates:
-                    yield from self._walk(i + 1, rest, q - r_i, head + (factors[r_i] or intern(rng, row, tb_i, r_i),))
+                    f = factors[r_i] or intern(rng, row, tb_i, r_i)
+                    yield from self._walk(i + 1, rest, q - r_i, f"{head}{f._text}|" if text else head + (f,), f, text)
                 continue
             # The last position is (rest, q - r_i), kept after this one's
             # factor within a summand; its row answers membership and
@@ -467,7 +485,8 @@ class _Generators:
                     # Interned before this position's factor is read, which
                     # may be the same point.
                     f_last = f_last or intern(last_rng, last_row, rest, q_last)
-                    yield TupleClass(head + (factors[r_i] or intern(rng, row, tb_i, r_i), f_last))
+                    f = factors[r_i] or intern(rng, row, tb_i, r_i)
+                    yield f"{head}{f._text}|{f_last._text}" if text else TupleClass(head + (f, f_last))
 
 
 def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator | None, PosetNode]]:
@@ -479,7 +498,9 @@ def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator | Non
     until its representative is read.  Elsewhere a canonical prefix is
     labelled until every component has its representative; nodes come in
     representative order.  Members expand on first access, from one pass
-    over the point shared by all its classes (:meth:`_Generators.members`).
+    over the point shared by all its classes (:meth:`_Generators.members`);
+    there, members must be labelled by generator, so member ids are the
+    members' :meth:`TupleClass.id_string`.
     """
     components, roots = gens.roots(tb, r)
     if len(roots) == 1:
@@ -501,8 +522,17 @@ def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator | Non
 
 
 def _one_class(gens: _Generators, tb: int, r: int, root: Generator | None) -> PosetNode:
-    """The node of a one-class point, whose representative and members are found on first read."""
-    return PosetNode._lazy(tb, r, lambda: next(gens.tuples(tb, r)), lambda: gens.members(tb, r)[root])
+    """The node of a one-class point, whose representative, members and member ids are found on first read.
+
+    Its ids are the point's, walked as text (:meth:`_Generators.walk`).
+    """
+    return PosetNode._lazy(
+        tb,
+        r,
+        lambda: next(gens.tuples(tb, r)),
+        lambda: gens.members(tb, r)[root],
+        lambda: tuple(gens.walk(tb, r, True)),
+    )
 
 
 def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:

@@ -190,6 +190,16 @@ def test_documents_too_deep_or_long_to_parse_exit_1(capsys, tmp_path, data, need
         assert err.startswith(f"error: {doc}: ") and needle in err and "Traceback" not in err, argv
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+def test_over_long_integer_reports_the_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    doc = tmp_path / "big.json"
+    doc.write_text('{"name": "X", "peaks": [[0, ' + "1" * max(5000, limit + 1) + "]]}")
+    rc, out, err = run(capsys, "validate", "--knot", str(doc))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {doc}: an integer has more than {limit} digits\n"
+
+
 def test_main_accepts_argv_tuple(capsys):
     assert main(("validate", "--knot", "A")) == 0
     capsys.readouterr()
@@ -374,15 +384,15 @@ def test_fiber_outside_the_sum(capsys):
 
 
 def count_walks(monkeypatch) -> collections.Counter:
-    """Calls of ``_Generators.tuples`` by point, from now on."""
+    """Walks of a point by ``_Generators.walk``, as tuples or as ids, by point, from now on."""
     walked = collections.Counter()
-    tuples = legsum.sums._Generators.tuples
+    walk = legsum.sums._Generators.walk
 
-    def counted(gens, tb, r):
+    def counted(gens, tb, r, text):
         walked[tb, r] += 1
-        return tuples(gens, tb, r)
+        return walk(gens, tb, r, text)
 
-    monkeypatch.setattr(legsum.sums._Generators, "tuples", counted)
+    monkeypatch.setattr(legsum.sums._Generators, "walk", counted)
     return walked
 
 
@@ -405,6 +415,22 @@ def test_sum_text_walks_each_one_class_point_once(monkeypatch, capsys):
     assert set(walked) == set(classes) and 1 in classes.values()
     for point, count in classes.items():
         assert walked[point] == (1 if count == 1 else 2), point
+
+
+def test_sum_json_lists_one_class_points_without_tuples(monkeypatch, capsys):
+    made = collections.Counter()
+    init = legsum.TupleClass.__init__
+
+    def counted(t, factors):
+        init(t, factors)
+        made[t.invariants()] += 1
+
+    monkeypatch.setattr(legsum.TupleClass, "__init__", counted)
+    rc, out, _ = run(capsys, "sum", "--spec", "A:2,B:2", "--depth", "6", "--format", "json")
+    assert rc == 0
+    classes = collections.Counter(tuple(node["point"]) for node in json.loads(out)["nodes"])
+    assert made and 1 in classes.values()
+    assert all(classes[point] > 1 for point in made)
 
 
 def test_fiber_json_walks_its_one_class_point_once(monkeypatch, capsys):

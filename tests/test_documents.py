@@ -2,6 +2,7 @@
 
 import enum
 import json
+import sys
 from collections import OrderedDict
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from legsum.documents import (
     catalog,
     class_obj,
     dump_json,
+    dump_sum_json,
     factor_obj,
     parse_inline_sum,
     parse_knot_document,
@@ -26,7 +28,7 @@ from legsum.documents import (
 )
 from legsum.errors import ParseError, RangeInvalid, SchemaError
 
-from conftest import UNPARSABLE_JSON
+from conftest import UNPARSABLE_JSON, random_sums, wide_step_sums
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "legsum" / "data"
 
@@ -213,6 +215,15 @@ def test_documents_too_deep_or_long_to_parse_raise_parse_error(cat, data, needle
         with pytest.raises(ParseError, match=r"^big\.json: ") as err:
             parse(data, source="big.json")
         assert needle in str(err.value)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+def test_over_long_integer_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    data = '{"name": "X", "peaks": [[0, ' + "1" * max(5000, limit + 1) + "]]}"
+    with pytest.raises(ParseError) as err:
+        parse_knot_document(data, source="big.json")
+    assert str(err.value) == f"big.json: an integer has more than {limit} digits"
 
 
 def test_parse_knot_document_source_prefix():
@@ -425,3 +436,59 @@ def test_jsonable_poset_reports(B):
 def test_jsonable_rejects_unknown():
     with pytest.raises(TypeError, match="no JSON view"):
         to_jsonable(object())
+
+
+# --- the sum document ---------------------------------------------------------------
+
+
+def sum_oracle(label: str, poset: L.QuotientPoset) -> str:
+    """The ``sum --format json`` document through the generic JSON view."""
+    return dump_json({"command": "sum", "spec": label, **to_jsonable(poset)})
+
+
+def assert_sum_document(spec: L.SumSpec, depth: int) -> None:
+    """The writer's text against the oracle on a window of its own, then every node's ids against its members."""
+    floor = spec.top_tb - depth
+    window = L.build_quotient(spec, floor)
+    assert dump_sum_json(spec.label(), window) == sum_oracle(spec.label(), L.build_quotient(spec, floor)), spec.label()
+    for node in window:
+        assert list(node.ids) == [t.id_string() for t in node.members]
+        assert node.key == node.ids[0] == node.representative.id_string()
+
+
+def test_sum_writer_matches_the_json_view_on_grid(grid_specs):
+    assert len(grid_specs) == 55
+    for spec in grid_specs:
+        for depth in (0, 3, 8):
+            assert_sum_document(spec, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_sums(), wide_step_sums()), st.integers(0, 8))
+def test_sum_writer_matches_the_json_view_on_random_ranges(spec, depth):
+    assert_sum_document(spec, depth)
+
+
+def test_sum_writer_matches_the_json_view_on_hand_built_windows():
+    # Nodes without members, keys out of window order, two children of one
+    # sign, and keys that need escaping.
+    nodes = [("z", 1, 0), ('b"1', 0, -1), ("a\\1", 0, 1), ("\u00e91", 0, 1)]
+    edges = [("z", "+", "\u00e91"), ("z", "-", 'b"1'), ("z", "+", "a\\1")]
+    for window in (
+        L.QuotientPoset.from_parts(nodes, edges, 0, 1),
+        L.QuotientPoset.from_parts(nodes[:1], [], 1, 1),
+        L.QuotientPoset.from_parts([], [], 0, 1),
+    ):
+        assert dump_sum_json('s"\u00e9', window) == sum_oracle('s"\u00e9', window)
+        assert all(node.ids == () for node in window)
+
+
+def test_sum_writer_escapes_user_knot_names(A, B):
+    spec = L.SumSpec.of([
+        (L.make_range('Q"\\', [(p.tb, p.r) for p in A.peaks], A.genus), 2),
+        (L.make_range("R\u00e9\u2603", [(p.tb, p.r) for p in B.peaks], B.genus), 1),
+    ])
+    for depth in (0, 4):
+        assert_sum_document(spec, depth)
+    text = dump_sum_json(spec.label(), L.build_quotient(spec, spec.top_tb - 4))
+    assert text.isascii() and '"spec": "Q\\"\\\\^2#R\\u00e9\\u2603"' in text

@@ -298,3 +298,59 @@ def test_concurrent_first_reads_of_members_agree(cat):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert seen == [want] * 8
+
+
+def test_concurrent_first_reads_of_ids_and_members_agree(cat):
+    spec = L.SumSpec.of([(cat["A"], 2), (cat["B"], 1)])
+    want = [(n.key, n.ids, n.members) for n in L.build_quotient(spec, spec.top_tb - 6)]
+    nodes = list(L.build_quotient(spec, spec.top_tb - 6))
+    seen: list[list] = []
+    errors: list[Exception] = []
+    start = threading.Barrier(8)
+
+    def view(n: L.PosetNode, ids_first: bool) -> tuple:
+        if ids_first:
+            ids, key, members = n.ids, n.key, n.members
+        else:
+            members, key, ids = n.members, n.key, n.ids
+        return key, ids, members
+
+    def read(ids_first: bool) -> None:
+        try:
+            start.wait(timeout=60)
+            seen.append([view(n, ids_first) for n in nodes])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k % 2 == 0,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert seen == [want] * 8
+
+
+def test_edges_come_in_key_order_and_are_counted(grid_specs):
+    windows = [L.build_quotient(spec, spec.top_tb - 3) for spec in grid_specs]
+    windows.append(fixture_poset(
+        [("x", 1, 0), ("y", 0, 1), ("w", 0, 1), ("z", 0, -1)],
+        [("x", "+", "y"), ("x", "+", "w"), ("x", "-", "z")],
+        0, 1,
+    ))
+    # Child positions as a builder passes them, two of one sign out of key order.
+    nodes = [L.PosetNode("z", 1, 0), L.PosetNode("b", 0, -1), L.PosetNode("a", 0, 1), L.PosetNode("c", 0, 1)]
+    windows.append(QuotientPoset(nodes, {L.POS: [[3, 2], [], [], []], L.NEG: [[1], [], [], []]}, 0, 1, False))
+    for window in windows:
+        keys = [n.key for n in window]
+        links = [(keys[i], sign, keys[c]) for sign, down in window._down.items() for i, kids in enumerate(down) for c in kids]
+        assert [(e.parent, e.sign, e.child) for e in window.edges] == sorted(links)
+        assert window.edge_count == len(window.edges) == len(links)
+    assert windows[-1].edge_count == 3
+    assert fixture_poset([("x", 0, 0)], [], 0, 0).edge_count == 0

@@ -638,7 +638,7 @@ def test_builds_label_only_tuples_of_multi_class_points(monkeypatch, A, B):
 
 
 def test_verdicts_and_figures_walk_only_multi_class_points(monkeypatch, capsys, A, B):
-    walked = record_calls(monkeypatch, sums._Generators, "tuples")
+    walked = record_calls(monkeypatch, sums._Generators, "walk", lambda gens, tb, r, text: (gens, tb, r))
     for parts, text, depth in (([(A, 2), (B, 2)], "A:2,B:2", 8), ([(B, 3)], "B:3", 6)):
         walked.clear()
         window = ("--spec", text, "--depth", str(depth))
