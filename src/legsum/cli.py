@@ -9,6 +9,7 @@ canonical JSON document, the default is tab-delimited text.  Figures from
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +50,10 @@ def _rows(*rows) -> str:
 
 def _resolve_knot(value: str) -> MountainRange:
     """A knot argument is a document file or a catalog name; either way the range is valid."""
-    p = Path(value)
-    if p.is_file():
+    # os.path.isfile, not Path.is_file: a value longer than the OS allows for
+    # a file name is no file, while Path.is_file raises ENAMETOOLONG on it.
+    if os.path.isfile(value):
+        p = Path(value)
         return documents.parse_knot_document(p.read_bytes(), source=str(p))
     cat = documents.catalog()
     if value in cat:
@@ -70,8 +73,8 @@ def _load_spec(args, parser: argparse.ArgumentParser) -> SumSpec:
     if not args.spec:
         parser.error("--spec is required here")
     reg = _registry(args)
-    p = Path(args.spec)
-    if p.is_file():
+    if os.path.isfile(args.spec):
+        p = Path(args.spec)
         return documents.parse_sum_document(p.read_bytes(), reg, source=str(p))
     return documents.parse_inline_sum(args.spec, reg)
 

@@ -9,14 +9,11 @@ first, then the bundled catalog.
 Serialization is canonical everywhere: object keys sorted, two-space
 indent, trailing newline; parsing then serializing a document yields the
 canonical form of the same content.  :func:`dump_json` writes the bytes of
-``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.  Its own
-recursive writer covers what legsum payloads hold (exact ``str``, ``int``,
-``list``, ``tuple`` and ``str``-keyed dicts), since indented ``json.dumps``
-runs the standard library's pure-Python encoder before Python 3.13; every
-other value is handed to ``json.dumps``.  :func:`dump_sum_json` writes the
-``sum`` document of a window straight from its nodes, member ids and child
-positions, byte for byte what :func:`dump_json` makes of its
-:func:`to_jsonable` payload, which stays the test oracle.
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
+:func:`dump_sum_json` writes the ``sum`` document of a window straight from
+its nodes, member ids and child positions, byte for byte what
+:func:`dump_json` makes of its :func:`to_jsonable` payload, which stays the
+test oracle.
 """
 
 from __future__ import annotations
@@ -44,75 +41,8 @@ _escape = json.encoder.encode_basestring_ascii
 
 
 def dump_json(obj) -> str:
-    """Canonical JSON text: sorted keys, indented, newline-terminated.
-
-    Byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, and
-    the same exception type where that raises: ``TypeError`` for an
-    unserializable value or key, ``ValueError`` for a circular reference.
-    :func:`_encode` writes exact ``str``, ``int``, ``list`` and ``tuple``
-    values and ``str``-keyed dicts itself, each container as one
-    ``str.join``; every other value goes to ``json.dumps``.
-    """
-    return _encode(obj, "\n", {}) + "\n"
-
-
-def _encode(o, nl: str, markers: dict) -> str:
-    """The JSON text of ``o`` nested where a new line starts with ``nl``.
-
-    The fast path covers what legsum payloads hold: exact ``str``, ``int``,
-    ``list`` and ``tuple`` values, and dicts whose first sorted key is a
-    ``str``.  A list whose first item is a string is tried as all strings,
-    escaped and joined in one ``str.join``.  ``markers`` holds the ids of the
-    containers being written, to reject a circular reference.  Any other
-    value (``bool``, ``None``, floats, subclasses, other keys) is written by
-    ``json.dumps`` with each newline replaced by ``nl``; that is safe because
-    its ASCII output escapes every newline inside a string.
-    """
-    kind = type(o)
-    if kind is str:
-        return _escape(o)
-    if kind is int:
-        return int.__repr__(o)
-    if kind is dict:
-        if not o:
-            return "{}"
-        pairs = sorted(o.items())
-        if type(pairs[0][0]) is not str:
-            return json.dumps(o, sort_keys=True, indent=2).replace("\n", nl)
-    elif kind is list or kind is tuple:
-        if not o:
-            return "[]"
-    else:
-        return json.dumps(o, sort_keys=True, indent=2).replace("\n", nl)
-    marker = id(o)
-    if marker in markers:
-        raise ValueError("Circular reference detected")
-    markers[marker] = o
-    inner = nl + "  "
-    if kind is dict:
-        items = []
-        for key, value in pairs:
-            kind = type(value)
-            items.append(_escape(key) + ": " + (
-                _escape(value) if kind is str else
-                int.__repr__(value) if kind is int else
-                _encode(value, inner, markers)
-            ))
-        text = "{" + inner + ("," + inner).join(items) + nl + "}"
-    else:
-        body = None
-        if type(o[0]) is str:
-            try:
-                body = ("," + inner).join(map(_escape, o))
-            except TypeError:
-                pass
-        if body is None:
-            body = ("," + inner).join([
-                int.__repr__(value) if type(value) is int else _encode(value, inner, markers) for value in o
-            ])
-        text = "[" + inner + body + nl + "]"
-    del markers[marker]
-    return text
+    """Canonical JSON text: ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def dump_sum_json(spec: str, poset: QuotientPoset) -> str:

@@ -664,7 +664,21 @@ def test_knot_and_spec_files_still_win_over_names(capsys, tmp_path, monkeypatch)
     assert rc == 0 and "spec\tB^2\n" in out
 
 
-def test_json_output_is_canonical_and_repeatable(capsys):
+def test_values_longer_than_a_file_name_are_not_files(capsys):
+    # The OS refuses to look such a name up (ENAMETOOLONG); it names no
+    # document, so the value is read as an inline spec or a catalog name.
+    def verdict(spec):
+        rc, out, err = run(capsys, "criterion", "--spec", spec, "--format", "json")
+        assert (rc, err) == (0, "")
+        payload = json.loads(out)
+        return payload["simple"], payload["matched_case"]
+
+    assert verdict("A:1" + "0" * 260) == verdict("A:2") == (True, "one-two-peak-with-multiplicity>=2")
+    rc, _, err = run(capsys, "validate", "--knot", "x" * 300)
+    assert rc == 1 and "neither a knot file nor a catalog name" in err
+
+
+def test_json_output_is_canonical_and_repeatable(capsys, tmp_path, monkeypatch):
     outs = []
     for _ in range(2):
         rc, out, _ = run(capsys, "nmax", "--spec", "B:2", "--depth", "3", "--format", "json")
@@ -674,6 +688,17 @@ def test_json_output_is_canonical_and_repeatable(capsys):
     payload = json.loads(outs[0])
     assert list(payload) == sorted(payload)
     assert payload["candidates"] == [{"point": [1, 0], "fiber_size": 2, "case": "case1"}]
+    # Every subcommand, the sum writer included, writes the bytes of the
+    # standard library's canonical form.  render keeps --out: without it,
+    # stdout carries the figure, not the JSON document.
+    monkeypatch.chdir(tmp_path)
+    for argv in VALID_ARGVS:
+        argv = [*argv, "--format", "json"] if "--format" not in argv else argv
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second, argv
+        rc, out, _ = first
+        assert rc == 0, argv
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
 
 
 # --- parser -----------------------------------------------------------------------
