@@ -1,8 +1,10 @@
 """Command-line interface.
 
-One subcommand per operation; ``--format json`` switches every command to a
-canonical JSON document, the default is tab-delimited text.  Figures from
-``render`` go to ``--out`` when given, otherwise to stdout.  Exit codes:
+One subcommand per operation; ``--format json`` switches a command's output
+to a canonical JSON document, the default is tab-delimited text.  Figures
+from ``render`` go to ``--out`` when given, with the summary in the chosen
+format on stdout; otherwise the figure goes to stdout, whatever
+``--format`` says.  Exit codes:
 0 success, 1 domain error (bad input, impossible request), 2 usage error.
 """
 

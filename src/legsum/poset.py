@@ -5,7 +5,8 @@ with one positive and one negative stabilization edge leaving every class.
 We only ever materialize a window of it, from the top tb level down to a
 floor ``tb_min``.  :class:`QuotientPoset` is that window: nodes carry a
 deterministic key, a (tb, r) point, and optionally the representative and
-member tuples of the class they stand for, made on first use.
+member tuples of the class they stand for, at a one-class point made on
+first use.
 
 Analysis layer:
 
@@ -40,32 +41,29 @@ class PosetNode:
 
     ``members`` holds the canonical tuples of the class, representative
     first; hand-built fixture nodes leave it empty.  ``ids`` holds their id
-    strings, in the same order.  A built node takes its members, and at a
-    one-class point its representative and ids, as callables that run on
-    first read only (see :meth:`_lazy`), so outputs that never list or name
-    a class never enumerate it; the key is the representative's id string.
-    At a one-class point the ids are walked as text, with no tuple objects,
-    and the first of them gives the key, so reading ``ids`` before ``key``
-    walks the point once.  Elsewhere the ids are read off the members, and
-    the key off the representative.  Equality and repr read the members;
-    the hash does not.
+    strings, in the same order.  A node built at a point of several classes
+    holds its members from the start.  A one-class point's node holds instead
+    the walk of its point (see :meth:`_lazy`), run on first read only, so
+    outputs that never list or name the class never enumerate it.  Its ids
+    are then walked as text, with no tuple objects, and its key is the first
+    of them once they are read, so reading ``ids`` before ``key`` walks the
+    point once.  Otherwise the key is the representative's id string.
+    Equality and repr read the members; the hash does not.
     """
 
-    __slots__ = ("_key", "tb", "r", "_representative", "_members", "_ids")
+    __slots__ = ("_key", "tb", "r", "_members", "_ids", "_walk")
 
     def __init__(self, key: str, tb: int, r: int, members: tuple = ()) -> None:
-        _fill(self, key, tb, r, members[0] if members else None, members, None)
+        _fill(self, key, tb, r, members, None, None)
 
     @classmethod
-    def _lazy(
-        cls, tb: int, r: int, representative, members: Callable[[], tuple], ids: Callable[[], tuple] | None = None
-    ) -> "PosetNode":
-        """A node whose members, representative if callable, and ids if given are made on first read.
+    def _lazy(cls, tb: int, r: int, walk: Callable[[bool], Iterator]) -> "PosetNode":
+        """A one-class node whose members are ``walk(False)`` and ids ``walk(True)``, each walked on first read.
 
-        Without ``ids``, the ids are read off the members.
+        The walk is dropped once the members are read.
         """
         node = object.__new__(cls)
-        _fill(node, None, tb, r, representative, members, ids)
+        _fill(node, None, tb, r, None, None, walk)
         return node
 
     def __setattr__(self, name: str, value) -> None:
@@ -74,51 +72,41 @@ class PosetNode:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _settle(self, name: str):
-        """A lazy slot's value: a callable there is called once read and replaced by its result.
-
-        Concurrent first reads may each call it and store equal values.
-        """
-        value = getattr(self, name)
-        if callable(value):
-            value = value()
-            object.__setattr__(self, name, value)
-        return value
+    # Concurrent first reads each walk and store equal values.  The walk is
+    # read before the members and cleared after them, so a reader that finds
+    # it gone finds the members set.
 
     @property
     def members(self) -> tuple:
-        members = self._settle("_members")
-        # The first member, and ids to be read off the members, without
-        # keeping the builder alive.
-        if callable(self._representative):
-            object.__setattr__(self, "_representative", members[0])
-        if callable(self._ids):
-            object.__setattr__(self, "_ids", None)
+        walk, members = self._walk, self._members
+        if members is None:
+            members = tuple(walk(False))
+            object.__setattr__(self, "_members", members)
+            object.__setattr__(self, "_walk", None)
         return members
 
     @property
     def ids(self) -> tuple[str, ...]:
-        """The members' id strings, in member order.
-
-        While the representative is still to be found, the first id becomes
-        the key, so the key needs no second walk of the point.
-        """
-        ids = self._settle("_ids")
+        """The members' id strings, in member order."""
+        ids = self._ids
         if ids is None:
-            ids = tuple([t.id_string() for t in self.members])
+            walk, members = self._walk, self._members
+            ids = tuple(walk(True) if members is None else [t.id_string() for t in members])
             object.__setattr__(self, "_ids", ids)
-        if self._key is None and callable(self._representative):
-            object.__setattr__(self, "_key", ids[0])
         return ids
 
     @property
     def representative(self):
-        return self._settle("_representative")
+        walk, members = self._walk, self._members
+        if members is None:
+            return next(walk(False))
+        return members[0] if members else None
 
     @property
     def key(self) -> str:
         if self._key is None:
-            object.__setattr__(self, "_key", self.representative.id_string())
+            ids = self._ids
+            object.__setattr__(self, "_key", ids[0] if ids is not None else self.representative.id_string())
         return self._key
 
     @property
@@ -148,15 +136,15 @@ class PosetNode:
 _SET_SLOT = tuple(PosetNode.__dict__[name].__set__ for name in PosetNode.__slots__)
 
 
-def _fill(node: PosetNode, key, tb, r, representative, members, ids) -> None:
+def _fill(node: PosetNode, key, tb, r, members, ids, walk) -> None:
     """Set a node's slots past its frozen ``__setattr__``."""
-    set_key, set_tb, set_r, set_representative, set_members, set_ids = _SET_SLOT
+    set_key, set_tb, set_r, set_members, set_ids, set_walk = _SET_SLOT
     set_key(node, key)
     set_tb(node, tb)
     set_r(node, r)
-    set_representative(node, representative)
     set_members(node, members)
     set_ids(node, ids)
+    set_walk(node, walk)
 
 
 @dataclass(frozen=True)

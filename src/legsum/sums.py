@@ -15,17 +15,17 @@ so the quotient is graded by (tb, r).  A class is fixed by which peaks its
 factors hang from and how many positive and negative stabilizations sit
 below them; two such peak multisets one valley move apart are joined at a
 point where both are present, so the classes at a point are the components
-of those joins.  Where a point has several classes, this module walks its
-canonical tuples in canonical order, labelling each with the component of
-its peak-multiset generator, and stops once every component has its first
-tuple: that tuple is the class's representative and names its node.  A
-one-class point's representative, and every class's members, are found
-only when first read, the members in one pass over the point shared by all
-classes there, so only outputs that name or list them pay for them.  The
-walk has a second leaf form for outputs that list member ids only: it
-carries the text of the tuple so far and makes each id by one string
-concatenation, with no :class:`TupleClass`.  A one-class point's member ids
-come from that walk, and its key is the first of them.
+of those joins.  Only points inside a bounded box of the generator tops
+can have several classes (see :class:`_Generators`); each such point is
+listed once, when it is built, in one pass over its canonical tuples in
+canonical order, each labelled with the component of its peak-multiset
+generator.  A class's first tuple is its representative and names its
+node.  A one-class point is walked only when its class is first read, so
+only outputs that name or list it pay for it.  The walk has a second leaf
+form for outputs that list member ids only: it carries the text of the
+tuple so far and makes each id by one string concatenation, with no
+:class:`TupleClass`.  A one-class point's member ids come from that walk,
+and its key is the first of them.
 
 Windows and tuples are both read a level row at a time.  A window of the
 quotient poset is a stack of the sum's level rows, from the top down.  The
@@ -241,9 +241,10 @@ class _Generators:
     one class.  With v <= V_min the same holds for right moves and the
     all-rightmost generator.  So a point of the sum has several classes
     only inside the box u > U_min, v > V_min (:meth:`boxed`), and only
-    there are components computed.  The lemma says nothing of points
-    outside the sum, which have no class.  The canonical tuples of a point
-    come from :meth:`tuples`.
+    there are components computed.  The box is bounded: u + v = 2 tb, so
+    its points all have tb > (U_min + V_min) / 2.  The lemma says nothing
+    of points outside the sum, which have no class.  The canonical tuples
+    of a point come from :meth:`tuples`.
     """
 
     def __init__(self, spec: SumSpec) -> None:
@@ -385,19 +386,6 @@ class _Generators:
         row[1][r] = f
         return f
 
-    def members(self, tb: int, r: int) -> dict[Generator | None, tuple[TupleClass, ...]]:
-        """The canonical tuples at a point of the sum grouped by root (see :meth:`roots`), in canonical order.
-
-        One pass over the point; a one-class point labels no tuple.
-        """
-        components, roots = self.roots(tb, r)
-        if len(roots) == 1:
-            return {roots.pop(): tuple(self.tuples(tb, r))}
-        groups: dict[Generator, list[TupleClass]] = {}
-        for t in self.tuples(tb, r):
-            groups.setdefault(components[self.label(t.factors)], []).append(t)
-        return {root: tuple(g) for root, g in groups.items()}
-
     def tuples(self, tb: int, r: int) -> Iterator[TupleClass]:
         """The canonical tuples at exactly (tb, r), in :meth:`TupleClass.sort_key` order (see :meth:`walk`)."""
         return self.walk(tb, r, False)
@@ -495,51 +483,31 @@ def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator | Non
     Tuples whose generators share a component form one class, named by its
     representative, its first tuple in the canonical order
     :meth:`_Generators.tuples` yields.  A one-class point walks no tuple
-    until its representative is read.  Elsewhere a canonical prefix is
-    labelled until every component has its representative; nodes come in
-    representative order.  Members expand on first access, from one pass
-    over the point shared by all its classes (:meth:`_Generators.members`);
-    there, members must be labelled by generator, so member ids are the
-    members' :meth:`TupleClass.id_string`.
+    until it is read (:func:`_one_class`).  A point of several classes lies
+    in the bounded box of :meth:`_Generators.boxed` and is listed in one
+    labelled pass, each class's members kept in its node; nodes come in
+    representative order.
     """
     components, roots = gens.roots(tb, r)
     if len(roots) == 1:
-        (root,) = roots
-        return [(root, _one_class(gens, tb, r, root))]
-    reps: dict[Generator, TupleClass] = {}
+        return [(roots.pop(), _one_class(gens, tb, r))]
+    groups: dict[Generator, list[TupleClass]] = {}
     for t in gens.tuples(tb, r):
-        reps.setdefault(components[gens.label(t.factors)], t)
-        if len(reps) == len(roots):
-            break
-    members: dict[Generator, tuple[TupleClass, ...]] = {}
-
-    def expand(root: Generator) -> tuple[TupleClass, ...]:
-        if not members:
-            members.update(gens.members(tb, r))
-        return members[root]
-
-    return [(root, PosetNode._lazy(tb, r, t, functools.partial(expand, root))) for root, t in reps.items()]
+        groups.setdefault(components[gens.label(t.factors)], []).append(t)
+    return [(root, PosetNode(g[0].id_string(), tb, r, tuple(g))) for root, g in groups.items()]
 
 
-def _one_class(gens: _Generators, tb: int, r: int, root: Generator | None) -> PosetNode:
-    """The node of a one-class point, whose representative, members and member ids are found on first read.
-
-    Its ids are the point's, walked as text (:meth:`_Generators.walk`).
-    """
-    return PosetNode._lazy(
-        tb,
-        r,
-        lambda: next(gens.tuples(tb, r)),
-        lambda: gens.members(tb, r)[root],
-        lambda: tuple(gens.walk(tb, r, True)),
-    )
+def _one_class(gens: _Generators, tb: int, r: int) -> PosetNode:
+    """The node of a one-class point, which walks the point, as tuples or as ids (:meth:`_Generators.walk`), on first read."""
+    return PosetNode._lazy(tb, r, functools.partial(gens.walk, tb, r))
 
 
 def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
     """All equivalence classes with summed invariants exactly (tb, r).
 
-    Only the tuples of this one point are walked, and each class's members
-    only when first read.  A point outside the sum has none.
+    Only the tuples of this one point are walked: at once if it has several
+    classes, else when its class is first read.  A point outside the sum has
+    none.
     """
     gens = _Generators(spec)
     if r not in gens.level_points(tb):
@@ -580,8 +548,8 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     points with r <= U_min - tb or r >= tb - V_min have one class with root
     ``None``, made with no joins and no tuples; only the points between are
     partitioned into the components of their generator joins (see
-    :func:`_partition`), and walk tuples at build time only to name and
-    order several classes by key.  Edges are the signed stabilization steps
+    :func:`_partition`), and only they walk tuples at build time, to list
+    and order several classes.  Edges are the signed stabilization steps
     between classes, led from component to component: the class with root
     g at (tb, r) has its +- child at the root of g at (tb - 1, r +- 1),
     because g's cone holds that point, and two generators both present at
@@ -623,7 +591,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
             at[r] = len(nodes)
             if not lo <= k < hi:
                 here.append((r, None))
-                nodes.append(_one_class(gens, tb, r, None))
+                nodes.append(_one_class(gens, tb, r))
                 continue
             classes = next(parts)
             if len(classes) > 1:

@@ -396,25 +396,23 @@ def count_walks(monkeypatch) -> collections.Counter:
     return walked
 
 
-def test_sum_json_walks_each_one_class_point_once(monkeypatch, capsys):
+def test_sum_json_walk_each_point_once(monkeypatch, capsys):
     walked = count_walks(monkeypatch)
     rc, out, _ = run(capsys, "sum", "--spec", "A:2,B:2", "--depth", "6", "--format", "json")
     assert rc == 0
     classes = collections.Counter(tuple(node["point"]) for node in json.loads(out)["nodes"])
-    assert set(walked) == set(classes) and 1 in classes.values()
-    for point, count in classes.items():
-        assert walked[point] == (1 if count == 1 else 2), point
+    assert 1 in classes.values() and max(classes.values()) > 1
+    assert walked == dict.fromkeys(classes, 1)
 
 
-def test_sum_text_walks_each_one_class_point_once(monkeypatch, capsys):
+def test_sum_text_walk_each_point_once(monkeypatch, capsys):
     walked = count_walks(monkeypatch)
     rc, out, _ = run(capsys, "sum", "--spec", "A:2,B:2", "--depth", "6", "--format", "text")
     assert rc == 0
     rows = [row.split("\t") for row in out.splitlines()]
     classes = collections.Counter((int(row[1]), int(row[2])) for row in rows if row[0] == "node")
-    assert set(walked) == set(classes) and 1 in classes.values()
-    for point, count in classes.items():
-        assert walked[point] == (1 if count == 1 else 2), point
+    assert 1 in classes.values() and max(classes.values()) > 1
+    assert walked == dict.fromkeys(classes, 1)
 
 
 def test_sum_json_lists_one_class_points_without_tuples(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import functools
 import gc
 import itertools
@@ -551,35 +552,29 @@ def test_fibers_outside_the_sum_are_empty(grid_specs):
 # --- lazy members ----------------------------------------------------------------------------
 
 
-def test_verdicts_and_figures_never_expand_members(monkeypatch, A, B):
-    expanded: list[tuple[int, int]] = []
-    members = sums._Generators.members
-
-    def counted(gens, tb, r):
-        expanded.append((tb, r))
-        return members(gens, tb, r)
-
-    monkeypatch.setattr(sums._Generators, "members", counted)
-    windows = []
+def test_verdicts_and_figures_list_only_multi_class_points(monkeypatch, A, B):
+    walked = record_calls(monkeypatch, sums._Generators, "walk", lambda gens, tb, r, text: (tb, r))
     for parts, depth in (([(A, 2), (B, 2)], 8), ([(B, 3)], 6)):
         spec = L.SumSpec.of(parts)
+        walked.clear()
         window = L.build_quotient(spec, spec.top_tb - depth)
+        multi = {pt for pt in window.points() if len(window.fiber(*pt)) > 1}
+        assert multi and collections.Counter(walked) == dict.fromkeys(multi, 1)
+        # The verdict builds its own window; the analyses of this one walk nothing.
+        walked.clear()
         verdict = L.simplicity_in_window(spec, window.tb_min)
         assert not verdict.simple_in_window
         assert verdict.witness.tuple_a != verdict.witness.tuple_b
         assert not L.nonsimple_report(window).simple
         assert L.detect_valleys(window)
         assert L.render_svg(window).startswith("<svg")
-        windows.append(window)
-    assert expanded == []
+        assert collections.Counter(walked) == dict.fromkeys(multi, 1)
 
-    for window in windows:
-        expanded.clear()
+        walked.clear()
         for node in window:
             assert node.members[0] == node.representative
             assert node.key == node.representative.id_string()
-        # One pass per point, shared by every class there.
-        assert len(expanded) == len(window.points())
+        assert collections.Counter(walked) == dict.fromkeys(set(window.points()) - multi, 1)
 
 
 def test_classes_read_in_full_release_their_builder(monkeypatch, A, B):
@@ -591,15 +586,44 @@ def test_classes_read_in_full_release_their_builder(monkeypatch, A, B):
         made.append(weakref.ref(gens))
 
     monkeypatch.setattr(sums._Generators, "__init__", recorded)
-    # A one-class point, whose representative is left unread, and a two-class point.
+    # A one-class point holds its builder until its members are read; a
+    # two-class point keeps its members and frees its builder at once.
     for parts, pt, count in (([(A, 2)], (-1, 0), 1), ([(B, 2)], (1, 0), 2)):
         made.clear()
         classes = L.enumerate_fiber(L.SumSpec.of(parts), *pt)
-        assert len(classes) == count and made[0]() is not None
+        gc.collect()
+        assert len(classes) == count and (made[0]() is None) == (count > 1)
         for c in classes:
             assert c.members
         gc.collect()
         assert made[0]() is None
+
+
+def build_work(spec: L.SumSpec, tb_min: int) -> tuple[int, int]:
+    """The ``_Generators.walk`` and ``_Generators.label`` calls made building the window of ``spec`` down to tb_min."""
+    with pytest.MonkeyPatch.context() as mp:
+        walks = record_calls(mp, sums._Generators, "walk")
+        labels = record_calls(mp, sums._Generators, "label")
+        L.build_quotient(spec, tb_min)
+    return len(walks), len(labels)
+
+
+def assert_build_work_bounded_by_the_box(spec: L.SumSpec) -> tuple[int, int]:
+    """Check that a build below F0, under which the box holds no point, walks and labels no more; return the work."""
+    gens = sums._Generators(spec)
+    f0 = (gens.U_min + gens.V_min) // 2
+    work = build_work(spec, f0)
+    assert build_work(spec, f0 - 10) == work, spec.label()
+    return work
+
+
+def test_build_work_is_bounded_by_the_box_on_grid(grid_specs):
+    assert any(walks for walks, _labels in map(assert_build_work_bounded_by_the_box, grid_specs))
+
+
+@given(random_sums())
+def test_build_work_is_bounded_by_the_box_on_random_ranges(spec):
+    assert_build_work_bounded_by_the_box(spec)
 
 
 # --- per-tuple and per-edge work ---------------------------------------------------------------
