@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import documents
@@ -31,7 +31,7 @@ from .simplicity import (
     simplicity_in_window,
     xy_invariants,
 )
-from .sums import SumSpec, build_quotient, enumerate_fiber, peaks_of_sum
+from .sums import SumSpec, _box_floor, build_quotient, enumerate_fiber, peaks_of_sum
 
 
 @dataclass
@@ -331,8 +331,10 @@ def cmd_path_search(args, parser) -> Result:
 
 def cmd_nmax(args, parser) -> Result:
     spec = _load_spec(args, parser)
-    poset = build_quotient(spec, _window_floor(args, spec.top_tb))
-    report = nonsimple_report(poset)
+    tb_min = _window_floor(args, spec.top_tb)
+    # Down to the box floor at most, as in simplicity_in_window; the report names tb_min.
+    poset = build_quotient(spec, max(tb_min, _box_floor(spec)))
+    report = replace(nonsimple_report(poset), tb_min=tb_min)
     payload = {"spec": spec.label(), **to_jsonable(report)}
     rows = [["spec", spec.label()], ["tb_min", report.tb_min], ["simple", str(report.simple).lower()]]
     rows += [["candidate", *v.point, v.fiber_size, v.case] for v in report.nmax]

@@ -164,7 +164,7 @@ class MountainRange:
             for p in self.peaks
         )
         object.__setattr__(self, "peaks", coerced)
-        # The (tb, r) pairs as plain ints: the key of the level-slice cache.
+        # The (tb, r) pairs as plain ints, which level slices and factor rows read.
         object.__setattr__(self, "_peak_points", tuple((p.tb, p.r) for p in coerced))
 
     # --- basic shape ---------------------------------------------------------
@@ -302,7 +302,7 @@ class MountainRange:
 
     def level_points(self, tb: int) -> list[int]:
         """All member r values at the given tb level, ascending."""
-        return list(_level_points(self._peak_points, tb))
+        return _level_points(self._peak_points, tb)
 
     # --- moves ------------------------------------------------------------------------
 
@@ -316,18 +316,14 @@ class MountainRange:
         return None
 
 
-@functools.lru_cache(maxsize=None)
-def _level_points(peaks: tuple[tuple[int, int], ...], tb: int) -> tuple[int, ...]:
-    """The r values at level tb of the union of the cones below the (tb, r) peaks, ascending.
-
-    Keyed on plain int pairs, so a cache hit hashes and compares in C.
-    """
+def _level_points(peaks: tuple[tuple[int, int], ...], tb: int) -> list[int]:
+    """The r values at level tb of the union of the cones below the (tb, r) peaks, ascending."""
     rs: set[int] = set()
     for p_tb, p_r in peaks:
         depth = p_tb - tb
         if depth >= 0:
             rs.update(range(p_r - depth, p_r + depth + 1, 2))
-    return tuple(sorted(rs))
+    return sorted(rs)
 
 
 def make_range(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import LegsumError, NotApplicable, WrongPeakCount
 from .poset import find_nmax
 from .ranges import NEG, POS, MountainRange, SimpleClass
-from .sums import SumSpec, TupleClass, build_quotient, canonicalize_tuple
+from .sums import SumSpec, TupleClass, _box_floor, build_quotient, canonicalize_tuple
 
 CASE_ONE_PEAK = "all-one-peak"
 CASE_TWO_PEAK = "one-two-peak-with-multiplicity>=2"
@@ -92,11 +92,15 @@ class WindowVerdict:
 def simplicity_in_window(spec: SumSpec, tb_min: int, workers: int = 0) -> WindowVerdict:
     """Check fiber sizes across the whole window.
 
+    Every point at or below the box floor F0 = (U_min + V_min) // 2 has one
+    class (see :class:`legsum.sums._Generators`), and a maximal nonsimple
+    point is read from the rows above it, so the window is built only down
+    to ``max(tb_min, F0)``; the verdict still names the caller's ``tb_min``.
     When some point carries two classes, the reported witness sits at a
     maximal nonsimple point (every strict ancestor class is alone at its
     point) and names the first two class representatives there.
     """
-    poset = build_quotient(spec, tb_min, workers=workers)
+    poset = build_quotient(spec, max(tb_min, _box_floor(spec)), workers=workers)
     candidates = find_nmax(poset)
     if not candidates:
         return WindowVerdict(True, tb_min, poset.top_tb, None)

@@ -200,7 +200,7 @@ def iter_canonical_tuples(spec: SumSpec, factor_tb_sum: int) -> Iterator[TupleCl
     tb = factor_tb_sum + spec.n - 1
     gens = _Generators(spec)
     for r in gens.level_points(tb):
-        yield from gens.tuples(tb, r)
+        yield from gens.walk(tb, r, False)
 
 
 # --- generator quotient --------------------------------------------------------------
@@ -209,7 +209,24 @@ def iter_canonical_tuples(spec: SumSpec, factor_tb_sum: int) -> Iterator[TupleCl
 Generator = tuple[int, ...]
 # A factor row: a range's r values at one level, its factor at each (None
 # until interned) and the label region of each interned factor.
-_Row = tuple[tuple[int, ...], dict[int, SimpleClass | None], dict[int, int]]
+_Row = tuple[list[int], dict[int, SimpleClass | None], dict[int, int]]
+
+
+def _box_corner(spec: SumSpec) -> tuple[int, int]:
+    """(U_min, V_min): u = tb + r of the all-leftmost generator top and v = tb - r of the all-rightmost.
+
+    These are the least u and v over all generator tops (see
+    :class:`_Generators`), read off each summand's outermost peaks.
+    """
+    n = spec.n
+    u = sum(s.count * (rng.peaks[0].tb + rng.peaks[0].r) for s, rng in zip(spec.summands, spec.ranges))
+    v = sum(s.count * (rng.peaks[-1].tb - rng.peaks[-1].r) for s, rng in zip(spec.summands, spec.ranges))
+    return u + n - 1, v + n - 1
+
+
+def _box_floor(spec: SumSpec) -> int:
+    """F0 = (U_min + V_min) // 2: every point of the sum at or below this level has one class."""
+    return sum(_box_corner(spec)) // 2
 
 
 class _Generators:
@@ -228,23 +245,21 @@ class _Generators:
     ``P`` is present at a point of the sum's parity iff u <= U(P) and
     v <= V(P), and then a = (V(P) - v) / 2.  The move adds 2 beta to U and
     takes 2 alpha from V, so where ``P`` is present, ``P'`` is present iff
-    a >= alpha.  The classes at a point are the components of these joins,
-    computed once per point and cached; a point computed twice by concurrent
-    callers gets the same components both times.
+    a >= alpha.  The classes at a point are the components of these joins.
 
     Most points need no joins.  Let U_min and V_min be the least U and V of
     the generator tops: those of the all-leftmost and the all-rightmost
-    generator, since a move right adds to U and a move left adds to V.  At a
-    point of the sum with u <= U_min, every present generator reaches the
-    all-leftmost one by left moves; each left move raises V and lowers U,
-    so every step stays present (v <= V, u <= U_min <= U) and the point has
-    one class.  With v <= V_min the same holds for right moves and the
+    generator (:func:`_box_corner`), since a move right adds to U and a
+    move left adds to V.  At a point of the sum with u <= U_min, every
+    present generator reaches the all-leftmost one by left moves; each left
+    move raises V and lowers U, so every step stays present (v <= V,
+    u <= U_min <= U) and the point has one class.  With v <= V_min the same holds for right moves and the
     all-rightmost generator.  So a point of the sum has several classes
     only inside the box u > U_min, v > V_min (:meth:`boxed`), and only
     there are components computed.  The box is bounded: u + v = 2 tb, so
     its points all have tb > (U_min + V_min) / 2.  The lemma says nothing
     of points outside the sum, which have no class.  The canonical tuples
-    of a point come from :meth:`tuples`.
+    of a point come from :meth:`walk`.
     """
 
     def __init__(self, spec: SumSpec) -> None:
@@ -259,7 +274,7 @@ class _Generators:
             for s, rng in zip(spec.summands, spec.ranges)
         ]
         # Per factor position: its range, the index of its first peak in a
-        # generator, its top, the bounds :meth:`tuples` enumerates within,
+        # generator, its top, the bounds :meth:`walk` enumerates within,
         # and its range's factor rows (see :meth:`_row`), shared by the
         # positions of one summand.
         self._slots: list[tuple[MountainRange, int, int, bool, int, int, int, int, dict[int, _Row]]] = []
@@ -292,11 +307,9 @@ class _Generators:
             moved = [gen[:k] + (gen[k] - 1, gen[k + 1] + 1) + gen[k + 2:] for k in moves if gen[k]]
             self._tops.append((gen, sum(tbs) + n - 1, sum(rs), moved))
         self._top_points = tuple((tb, r) for _gen, tb, r, _moved in self._tops)
-        self.U_min = min(tb + r for tb, r in self._top_points)
-        self.V_min = min(tb - r for tb, r in self._top_points)
-        self._components: dict[tuple[int, int], dict[Generator, Generator]] = {}
+        self.U_min, self.V_min = _box_corner(spec)
 
-    def level_points(self, tb: int) -> tuple[int, ...]:
+    def level_points(self, tb: int) -> list[int]:
         """The r values of the sum's points at level tb: the cone slices of the generator tops."""
         return _level_points(self._top_points, tb)
 
@@ -304,22 +317,8 @@ class _Generators:
         """Whether (tb, r) lies in the box u > U_min, v > V_min, outside which a point of the sum has one class."""
         return tb + r > self.U_min and tb - r > self.V_min
 
-    def roots(self, tb: int, r: int) -> tuple[dict[Generator, Generator], set[Generator | None]]:
-        """The components at a point of the sum and the set of their roots.
-
-        Outside the box the point has one class, with root ``None``, and no
-        components are computed.
-        """
-        if not self.boxed(tb, r):
-            return {}, {None}
-        components = self.components(tb, r)
-        return components, set(components.values())
-
     def components(self, tb: int, r: int) -> dict[Generator, Generator]:
-        """Every generator at (tb, r), mapped to the root of its component."""
-        found = self._components.get((tb, r))
-        if found is not None:
-            return found
+        """Every generator at (tb, r), mapped to the root of its component; empty iff the point is not in the sum."""
         # (generator, moved generators) of each generator present at (tb, r): at a
         # point of the sum's parity, each whose top's r is within its tb drop of r.
         present = [
@@ -337,9 +336,7 @@ class _Generators:
             for other in moved:
                 if other in parent:
                     parent[find(gen)] = find(other)
-        found = {gen: find(gen) for gen in parent}
-        self._components[(tb, r)] = found
-        return found
+        return {gen: find(gen) for gen in parent}
 
     def label(self, factors: Sequence[SimpleClass]) -> Generator:
         """The generator of a factor tuple grouped in spec order.
@@ -347,7 +344,7 @@ class _Generators:
         Each factor counts towards the leftmost peak of its summand whose
         cone holds it.  That peak was found when the factor was interned and
         is read from its row, so the tuples labelled must be this builder's
-        own, from :meth:`tuples`.
+        own, from :meth:`walk`.
         """
         counts = [0] * self._width
         for f, slot in zip(factors, self._slots):
@@ -386,12 +383,8 @@ class _Generators:
         row[1][r] = f
         return f
 
-    def tuples(self, tb: int, r: int) -> Iterator[TupleClass]:
-        """The canonical tuples at exactly (tb, r), in :meth:`TupleClass.sort_key` order (see :meth:`walk`)."""
-        return self.walk(tb, r, False)
-
     def walk(self, tb: int, r: int, text: bool) -> Iterator[TupleClass] | Iterator[str]:
-        """The canonical tuples at exactly (tb, r) in canonical order, as tuples or, if ``text``, as id strings.
+        """The canonical tuples at exactly (tb, r) in :meth:`TupleClass.sort_key` order, as tuples or, if ``text``, as id strings.
 
         Factor positions are filled left to right, each over tb descending
         and r ascending, the candidates of a level sliced from its factor row
@@ -477,24 +470,28 @@ class _Generators:
                     yield f"{head}{f._text}|{f_last._text}" if text else TupleClass(head + (f, f_last))
 
 
-def _partition(gens: _Generators, tb: int, r: int) -> list[tuple[Generator | None, PosetNode]]:
-    """The classes at one point of the sum, each with its root (see :meth:`_Generators.roots`).
+def _partition(gens: _Generators, tb: int, r: int) -> tuple[dict[Generator, Generator], list[tuple[Generator | None, PosetNode]]]:
+    """The components at one point (:meth:`_Generators.components`) and its classes, each with its root.
 
-    Tuples whose generators share a component form one class, named by its
-    representative, its first tuple in the canonical order
-    :meth:`_Generators.tuples` yields.  A one-class point walks no tuple
-    until it is read (:func:`_one_class`).  A point of several classes lies
-    in the bounded box of :meth:`_Generators.boxed` and is listed in one
-    labelled pass, each class's members kept in its node; nodes come in
-    representative order.
+    A point outside the sum has no components and no class.  Outside the
+    box of :meth:`_Generators.boxed` a point of the sum has one class, with
+    root ``None``.  Tuples whose generators share a component form one
+    class, named by its representative, its first tuple in the canonical
+    order :meth:`_Generators.walk` yields.  A one-class point walks no
+    tuple until it is read (:func:`_one_class`).  A point of several
+    classes lies in the box and is listed in one labelled pass, each
+    class's members kept in its node; nodes come in representative order.
     """
-    components, roots = gens.roots(tb, r)
+    components = gens.components(tb, r)
+    if not components:
+        return components, []
+    roots = set(components.values()) if gens.boxed(tb, r) else {None}
     if len(roots) == 1:
-        return [(roots.pop(), _one_class(gens, tb, r))]
+        return components, [(roots.pop(), _one_class(gens, tb, r))]
     groups: dict[Generator, list[TupleClass]] = {}
-    for t in gens.tuples(tb, r):
+    for t in gens.walk(tb, r, False):
         groups.setdefault(components[gens.label(t.factors)], []).append(t)
-    return [(root, PosetNode(g[0].id_string(), tb, r, tuple(g))) for root, g in groups.items()]
+    return components, [(root, PosetNode(g[0].id_string(), tb, r, tuple(g))) for root, g in groups.items()]
 
 
 def _one_class(gens: _Generators, tb: int, r: int) -> PosetNode:
@@ -506,13 +503,11 @@ def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
     """All equivalence classes with summed invariants exactly (tb, r).
 
     Only the tuples of this one point are walked: at once if it has several
-    classes, else when its class is first read.  A point outside the sum has
-    none.
+    classes, else when its class is first read.  A point outside the sum,
+    of the wrong parity or in no cone of a generator top, has none; no
+    level row is made to tell.
     """
-    gens = _Generators(spec)
-    if r not in gens.level_points(tb):
-        return []
-    return [node for _root, node in _partition(gens, tb, r)]
+    return [node for _root, node in _partition(_Generators(spec), tb, r)[1]]
 
 
 def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
@@ -593,11 +588,11 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
                 here.append((r, None))
                 nodes.append(_one_class(gens, tb, r))
                 continue
-            classes = next(parts)
+            components, classes = next(parts)
             if len(classes) > 1:
                 classes.sort(key=lambda c: c[1].key)
                 position = {root: len(nodes) + j for j, (root, _node) in enumerate(classes)}
-                split[r] = {gen: position[root] for gen, root in gens.components(tb, r).items()}
+                split[r] = {gen: position[root] for gen, root in components.items()}
             for root, node in classes:
                 here.append((r, root))
                 nodes.append(node)

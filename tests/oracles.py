@@ -352,7 +352,7 @@ def point_window(spec: L.SumSpec, tb_min: int) -> L.QuotientPoset:
     roots = []
     where = {}
     for tb, r in order:
-        classes = sums._partition(gens, tb, r)
+        _components, classes = sums._partition(gens, tb, r)
         if len(classes) > 1:
             classes.sort(key=lambda c: c[1].key)
         for root, node in classes:

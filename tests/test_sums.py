@@ -7,6 +7,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import legsum as L
-from legsum import sums
+from legsum import simplicity, sums
 from legsum.cli import main
 
 from conftest import make_grid_specs, random_sums, wide_step_sums
@@ -549,6 +550,32 @@ def test_fibers_outside_the_sum_are_empty(grid_specs):
             assert L.enumerate_fiber(spec, *point) == [], (spec.label(), point)
 
 
+def test_fibers_outside_the_sum_make_no_level_row(monkeypatch, capsys):
+    def no_rows(*args):
+        raise AssertionError("a level row was made")
+
+    monkeypatch.setattr(L.ranges, "_level_points", no_rows)
+    monkeypatch.setattr(sums, "_level_points", no_rows)
+    # A point of the wrong parity, and one outside every cone, 10^8 levels down.
+    for r in ("--r=0", "--r=300000001"):
+        assert main(["fiber", "--spec", "A:2", "--tb=-100000000", r]) == 0
+        assert capsys.readouterr().out.endswith("\nclasses\t0\n")
+
+
+def test_a_dropped_window_leaves_no_level_row_alive(A):
+    """Level rows belong to the builder that made them, so they die with its window."""
+    spec = L.SumSpec.of([(A, 1)])
+    tracemalloc.start()
+    try:
+        window = L.build_quotient(spec, spec.top_tb - 400)
+        del window
+        gc.collect()
+        live = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, L.ranges.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert len(live.traces) == 0
+
+
 # --- lazy members ----------------------------------------------------------------------------
 
 
@@ -626,6 +653,59 @@ def test_build_work_is_bounded_by_the_box_on_random_ranges(spec):
     assert_build_work_bounded_by_the_box(spec)
 
 
+# --- verdicts built down to the box floor -----------------------------------------------------
+
+
+def assert_box_corner_is_the_least_of_the_tops(spec: L.SumSpec) -> None:
+    gens = sums._Generators(spec)
+    tops = gens._top_points
+    assert sums._box_corner(spec) == (min(tb + r for tb, r in tops), min(tb - r for tb, r in tops)), spec.label()
+
+
+def test_box_corner_is_the_least_of_the_tops_on_grid(cat):
+    specs = make_grid_specs(cat, 4)
+    assert len(specs) == 125
+    for spec in specs:
+        assert_box_corner_is_the_least_of_the_tops(spec)
+
+
+@given(st.one_of(random_sums(max_n=5), wide_step_sums(max_n=5)))
+def test_box_corner_is_the_least_of_the_tops_on_random_ranges(spec):
+    assert_box_corner_is_the_least_of_the_tops(spec)
+
+
+def assert_clamped_verdicts_match(spec: L.SumSpec, below: int) -> None:
+    """Check that verdicts read from the window down to the box floor F0 match those of the window ``below`` levels under it."""
+    f0 = sums._box_floor(spec)
+    clamped = L.nonsimple_report(L.build_quotient(spec, f0))
+    full = L.nonsimple_report(L.build_quotient(spec, f0 - below))
+    assert (clamped.nonsimple, clamped.nmax) == (full.nonsimple, full.nmax), spec.label()
+    verdict = L.simplicity_in_window(spec, f0 - below)
+    assert verdict.tb_min == f0 - below
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicity, "_box_floor", lambda spec: f0 - below)
+        assert L.simplicity_in_window(spec, f0 - below) == verdict, spec.label()
+
+
+def test_clamped_verdicts_match_deeper_windows_on_grid(grid_specs):
+    for spec in grid_specs:
+        assert_clamped_verdicts_match(spec, 3)
+
+
+@given(st.one_of(random_sums(), wide_step_sums()), st.integers(1, 4))
+def test_clamped_verdicts_match_deeper_windows_on_random_ranges(spec, below):
+    assert_clamped_verdicts_match(spec, below)
+
+
+@pytest.mark.parametrize("command", ["simple", "nmax"])
+def test_deep_verdicts_build_only_down_to_the_box_floor(monkeypatch, capsys, A, command):
+    rows = record_calls(monkeypatch, sums._Generators, "level_points")
+    assert main([command, "--spec", "A", "--depth", "2000"]) == 0
+    spec = L.SumSpec.of([(A, 1)])
+    assert 0 < len(rows) <= spec.top_tb - sums._box_floor(spec) + 1
+    assert f"\ntb_min\t{spec.top_tb - 2000}\n" in capsys.readouterr().out
+
+
 # --- per-tuple and per-edge work ---------------------------------------------------------------
 
 
@@ -691,7 +771,7 @@ def test_labels_read_the_factor_table(monkeypatch, A, B):
     spec = L.SumSpec.of([(A, 2), (B, 2)])
     gens = sums._Generators(spec)
     points = [(tb, r) for tb in range(spec.top_tb, spec.top_tb - 7, -1) for r in gens.level_points(tb)]
-    tuples = [t for pt in points for t in gens.tuples(*pt)]
+    tuples = [t for pt in points for t in gens.walk(*pt, False)]
     cones = record_calls(monkeypatch, L.ranges, "_cone_coords")
     interned = record_calls(monkeypatch, sums._Generators, "_intern")
     labels = [gens.label(t.factors) for t in tuples]
