@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import documents
@@ -21,7 +21,7 @@ from .documents import dump_json, to_jsonable
 from .render import ASCII, SVG, RenderSpec, placeholder, render as render_figure
 from .errors import LegsumError, RangeInvalid
 from .paths import find_connecting_path, format_word
-from .poset import detect_valleys, nonsimple_report
+from .poset import detect_valleys
 from .ranges import MountainRange
 from .simplicity import (
     canonical_form,
@@ -31,7 +31,7 @@ from .simplicity import (
     simplicity_in_window,
     xy_invariants,
 )
-from .sums import SumSpec, _box_floor, build_quotient, enumerate_fiber, peaks_of_sum
+from .sums import SumSpec, _box_report, build_quotient, enumerate_fiber, peaks_of_sum
 
 
 @dataclass
@@ -331,10 +331,11 @@ def cmd_path_search(args, parser) -> Result:
 
 def cmd_nmax(args, parser) -> Result:
     spec = _load_spec(args, parser)
-    tb_min = _window_floor(args, spec.top_tb)
-    # Down to the box floor at most, as in simplicity_in_window; the report names tb_min.
-    poset = build_quotient(spec, max(tb_min, _box_floor(spec)))
-    report = replace(nonsimple_report(poset), tb_min=tb_min)
+    # Read off the box, with no window: every nonsimple point and all of its
+    # ancestors are boxed, and the classes there are the components of
+    # their generator joins (see sums._box_report).  No class is named, so
+    # no tuple is walked.
+    report = _box_report(spec, _window_floor(args, spec.top_tb))
     payload = {"spec": spec.label(), **to_jsonable(report)}
     rows = [["spec", spec.label()], ["tb_min", report.tb_min], ["simple", str(report.simple).lower()]]
     rows += [["candidate", *v.point, v.fiber_size, v.case] for v in report.nmax]

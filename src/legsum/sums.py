@@ -49,7 +49,7 @@ from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSummand, MultiplicityMismatch, WindowEmpty
-from .poset import PosetNode, QuotientPoset
+from .poset import DichotomyVerdict, NonsimpleReport, PosetNode, QuotientPoset
 from .ranges import NEG, POS, MountainRange, SimpleClass, _level_points
 
 
@@ -260,6 +260,16 @@ class _Generators:
     its points all have tb > (U_min + V_min) / 2.  The lemma says nothing
     of points outside the sum, which have no class.  The canonical tuples
     of a point come from :meth:`walk`.
+
+    The components alone make the class graph of the box.  Each component
+    root at a point is a class, and a class's +- child is the root of the
+    same generator at (tb - 1, r +- 1): the generator's cone holds that
+    point, and every join open above stays open below.  A boxed point's
+    ancestors are boxed, since u and v never fall going up.  So every
+    nonsimple point, every class above one, and the points (tb + 1, r +- 1)
+    and (tb + 2, r) that the dichotomy of a maximal one reads all lie in
+    the box, and :func:`_box_report` reads that analysis off the boxed
+    points' components, with no window and no tuple.
     """
 
     def __init__(self, spec: SumSpec) -> None:
@@ -312,6 +322,16 @@ class _Generators:
     def level_points(self, tb: int) -> list[int]:
         """The r values of the sum's points at level tb: the cone slices of the generator tops."""
         return _level_points(self._top_points, tb)
+
+    def boxed_run(self, tb: int) -> tuple[list[int], int, int]:
+        """The r values of the sum's points at level tb, with the bounds lo, hi of its boxed run ``row[lo:hi]``.
+
+        Two bisections cut the row at the box of :meth:`boxed`: its points
+        with r <= U_min - tb or r >= tb - V_min lie outside it.
+        """
+        row = self.level_points(tb)
+        lo = bisect_right(row, self.U_min - tb)
+        return row, lo, max(lo, bisect_left(row, tb - self.V_min))
 
     def boxed(self, tb: int, r: int) -> bool:
         """Whether (tb, r) lies in the box u > U_min, v > V_min, outside which a point of the sum has one class."""
@@ -539,7 +559,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
 
     The window is built a level row at a time, from the top down.  A row is
     the sum's points at one level (:meth:`_Generators.level_points`), and
-    two bisections split it at the box of :meth:`_Generators.boxed`: its
+    two bisections split it at the box (:meth:`_Generators.boxed_run`): its
     points with r <= U_min - tb or r >= tb - V_min have one class with root
     ``None``, made with no joins and no tuples; only the points between are
     partitioned into the components of their generator joins (see
@@ -560,11 +580,8 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     if tb_min > top:
         raise WindowEmpty(f"window floor {tb_min} lies above the top level {top}")
     gens = _Generators(spec)
-    rows = []  # per level: tb, its r values, and the bounds of its boxed run
-    for tb in range(top, tb_min - 1, -1):
-        row = gens.level_points(tb)
-        lo = bisect_right(row, gens.U_min - tb)
-        rows.append((tb, row, lo, max(lo, bisect_left(row, tb - gens.V_min))))
+    # Per level: tb, its r values and the bounds of its boxed run.
+    rows = [(tb, *gens.boxed_run(tb)) for tb in range(top, tb_min - 1, -1)]
     boxed = [(tb, r) for tb, row, lo, hi in rows for r in row[lo:hi]]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -605,3 +622,51 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
         pos_kids.append([])
         neg_kids.append([])
     return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)
+
+
+def _box_report(spec: SumSpec, tb_min: int) -> NonsimpleReport:
+    """``nonsimple_report(build_quotient(spec, tb_min))``, read off the class graph of the box with no window.
+
+    Only the boxed points of the rows from the top down to ``max(tb_min,
+    F0)`` are visited, cut as in :func:`build_quotient`, and each by
+    :meth:`_Generators.components`; see :class:`_Generators` for why that
+    is exact.  A class is marked when it sits at a nonsimple point or below
+    a marked class, and a nonsimple point is maximal when no class there is
+    below a marked one.  A maximal point is case1 when some class there has
+    no parent, case2 when it has two classes, both upper neighbours and no
+    point (tb + 2, r) at or under the top, and a violation otherwise.
+    """
+    top = spec.top_tb
+    if tb_min > top:
+        raise WindowEmpty(f"window floor {tb_min} lies above the top level {top}")
+    gens = _Generators(spec)
+    nonsimple: list[tuple[tuple[int, int], int]] = []
+    nmax: list[DichotomyVerdict] = []
+    above: dict[int, dict[Generator, Generator]] = {}  # components of each boxed point of the row above, by r
+    two_above: dict[int, dict[Generator, Generator]] = {}
+    marked_above: dict[int, set[Generator]] = {}  # marked roots of the row above, by r
+    for tb in range(top, max(tb_min, _box_floor(spec)) - 1, -1):
+        row, lo, hi = gens.boxed_run(tb)
+        here: dict[int, dict[Generator, Generator]] = {}
+        marked: dict[int, set[Generator]] = {}
+        for r in row[lo:hi]:
+            components = here[r] = gens.components(tb, r)
+            roots = set(components.values())
+            below = {components[g] for q in (r - 1, r + 1) for g in marked_above.get(q, ())}
+            if len(roots) > 1:
+                nonsimple.append(((tb, r), len(roots)))
+                marked[r] = roots
+                if below:
+                    continue
+                uppers = [above[q] for q in (r - 1, r + 1) if q in above]
+                if roots - {components[g] for upper in uppers for g in upper.values()}:
+                    case = "case1"
+                elif len(roots) == 2 and len(uppers) == 2 and r not in two_above:
+                    case = "case2"
+                else:
+                    case = "violation"
+                nmax.append(DichotomyVerdict((tb, r), len(roots), case))
+            elif below:
+                marked[r] = below
+        two_above, above, marked_above = above, here, marked
+    return NonsimpleReport(tb_min=tb_min, top_tb=top, nonsimple=tuple(nonsimple), nmax=tuple(nmax))

@@ -169,6 +169,9 @@ def test_domain_errors_exit_1(capsys):
         ["canonical", "--spec", "A:1,B:1", "--tb", "0", "--r", "0"],  # needs one summand
         ["xy", "--spec", "A:2", "--tb", "1", "--r", "1"],  # parity mismatch
         ["sum", "--spec", "B:2", "--tb-min", "5"],  # window above the top level
+        ["nmax", "--spec", "B:2", "--tb-min", "5"],
+        ["nmax", "--spec", "C", "--tb-min", "2"],  # one peak: the box floor is the top
+        ["nmax", "--spec", "B:2", "--depth", "-1"],
         ["render", "--spec", "B:2", "--depth", "-1"],  # negative depth
         ["render", "--knot", "A", "--depth", "-1"],
         ["path-search", "--spec", "A,B", "--start=-1,-3;0,-4", "--end=0,-2;-1,-5", "--depth=-3"],

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import legsum as L
-from legsum import simplicity, sums
+from legsum import cli, simplicity, sums
 from legsum.cli import main
 
 from conftest import make_grid_specs, random_sums, wide_step_sums
@@ -704,6 +705,41 @@ def test_deep_verdicts_build_only_down_to_the_box_floor(monkeypatch, capsys, A, 
     spec = L.SumSpec.of([(A, 1)])
     assert 0 < len(rows) <= spec.top_tb - sums._box_floor(spec) + 1
     assert f"\ntb_min\t{spec.top_tb - 2000}\n" in capsys.readouterr().out
+
+
+def assert_box_report_matches_the_window(spec: L.SumSpec, tb_min: int) -> None:
+    """Check that the box scan gives the report of the clamped window, naming the caller's ``tb_min``."""
+    window = L.build_quotient(spec, max(tb_min, sums._box_floor(spec)))
+    assert sums._box_report(spec, tb_min) == replace(L.nonsimple_report(window), tb_min=tb_min), (spec.label(), tb_min)
+
+
+def test_box_report_matches_the_window_on_grid(grid_specs):
+    assert len(grid_specs) == 55
+    for spec in grid_specs:
+        f0 = sums._box_floor(spec)
+        for tb_min in [spec.top_tb - depth for depth in (0, 3, 8, 12)] + [f0, f0 - 3]:
+            assert_box_report_matches_the_window(spec, tb_min)
+
+
+@given(st.one_of(random_sums(), wide_step_sums()), st.integers(0, 16))
+def test_box_report_matches_the_window_on_random_ranges(spec, depth):
+    assert_box_report_matches_the_window(spec, spec.top_tb - depth)
+
+
+def test_box_report_matches_the_window_on_powers(B):
+    for n in range(1, 9):
+        spec = L.SumSpec.of([(B, n)])
+        for depth in (0, 4):
+            assert_box_report_matches_the_window(spec, spec.top_tb - depth)
+
+
+@pytest.mark.parametrize("spec, depth", [("A:2,B:2", "8"), ("B:30", "0")])
+def test_nmax_builds_no_window_and_walks_no_tuple(monkeypatch, capsys, spec, depth):
+    builds = [record_calls(monkeypatch, owner, "build_quotient") for owner in (sums, cli)]
+    walks = record_calls(monkeypatch, sums._Generators, "walk")
+    assert main(["nmax", "--spec", spec, "--depth", depth]) == 0
+    assert "\nsimple\tfalse\ncandidate\t" in capsys.readouterr().out
+    assert (builds, walks) == ([[], []], [])
 
 
 # --- per-tuple and per-edge work ---------------------------------------------------------------
