@@ -200,12 +200,15 @@ def cmd_fiber(args, parser) -> Result:
             "classes": [documents.class_obj(c) for c in classes],
         }
         return Result(payload, "")
-    rows = [["spec", spec.label()], ["point", args.tb, args.r], ["classes", len(classes)]]
+    # The bytes _rows would write, joined straight from the ids with no per-cell str().
+    lines = [f"spec\t{spec.label()}", f"point\t{args.tb}\t{args.r}", f"classes\t{len(classes)}"]
     for i, c in enumerate(classes):
         ids = c.ids  # before the key, which a one-class node then reads off them
-        rows.append(["class", i, len(ids), c.key])
-        rows += [["member", i, x] for x in ids]
-    return Result({}, _rows(*rows))
+        lines.append(f"class\t{i}\t{len(ids)}\t{c.key}")
+        member = f"member\t{i}\t"
+        lines += [member + x for x in ids]
+    lines.append("")
+    return Result({}, "\n".join(lines))
 
 
 def cmd_simple(args, parser) -> Result:

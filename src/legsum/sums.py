@@ -21,11 +21,12 @@ listed once, when it is built, in one pass over its canonical tuples in
 canonical order, each labelled with the component of its peak-multiset
 generator.  A class's first tuple is its representative and names its
 node.  A one-class point is walked only when its class is first read, so
-only outputs that name or list it pay for it.  The walk has a second leaf
-form for outputs that list member ids only: it carries the text of the
-tuple so far and makes each id by one string concatenation, with no
-:class:`TupleClass`.  A one-class point's member ids come from that walk,
-and its key is the first of them.
+only outputs that name or list it pay for it.  The walk has a second form
+for outputs that list member ids only: it makes no factor object at all,
+neither :class:`TupleClass` nor :class:`SimpleClass`.  It carries the text
+of the tuple so far, reads each factor point's text from its factor row,
+and makes each id by one string concatenation.  A one-class point's member
+ids come from that walk, and its key is the first of them.
 
 Windows and tuples are both read a level row at a time.  A window of the
 quotient poset is a stack of the sum's level rows, from the top down.  The
@@ -33,11 +34,12 @@ box of the generator tops cuts each row into a run of points that may have
 several classes and the one-class points on either side of it, which are
 made with no joins.  Each class finds its two children in the next row by
 r, and at a point of several classes by its generator too, so edges are
-led from component to component.  Tuples are assembled from factor rows:
-per range and level, the level's r values and one factor per point,
-interned with its text on first use.  So the last factor of a tuple is
-found by one lookup of its r, and every tuple that holds a factor point
-holds the same factor.
+led from component to component.  Tuples and ids are assembled from factor
+rows: per range and level, the level's r values and each point's text,
+formatted on first use, and for the tuple form one factor per point,
+interned with that text on first use.  So the last factor of a tuple, or
+its text, is found by one lookup of its r, every tuple that holds a factor
+point holds the same factor, and a point is formatted once per builder.
 """
 
 from __future__ import annotations
@@ -207,9 +209,10 @@ def iter_canonical_tuples(spec: SumSpec, factor_tb_sum: int) -> Iterator[TupleCl
 
 
 Generator = tuple[int, ...]
-# A factor row: a range's r values at one level, its factor at each (None
-# until interned) and the label region of each interned factor.
-_Row = tuple[list[int], dict[int, SimpleClass | None], dict[int, int]]
+# A factor row: a range's r values at one level, the text of each of its
+# points (None until first formatted), and the factor and the label region
+# of each point interned as a :class:`SimpleClass`.
+_Row = tuple[list[int], dict[int, str | None], dict[int, SimpleClass], dict[int, int]]
 
 
 def _box_corner(spec: SumSpec) -> tuple[int, int]:
@@ -227,6 +230,32 @@ def _box_corner(spec: SumSpec) -> tuple[int, int]:
 def _box_floor(spec: SumSpec) -> int:
     """F0 = (U_min + V_min) // 2: every point of the sum at or below this level has one class."""
     return sum(_box_corner(spec)) // 2
+
+
+def _copy_counts(width: int, count: int) -> Iterator[tuple[int, ...]]:
+    """The multisets of ``count`` copies of ``width`` peaks as copy counts, in ``combinations_with_replacement`` order.
+
+    That order lists the count vectors descending: most copies of the
+    first peak first, then of the second, and so on.
+    """
+    if width == 1:
+        yield (count,)
+        return
+    for first in range(count, -1, -1):
+        for rest in _copy_counts(width - 1, count - first):
+            yield (first, *rest)
+
+
+def _peak_multisets(rng: MountainRange, count: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each multiset of ``count`` of the range's peaks: its copy counts, summed tb and summed r.
+
+    The sums take one term per peak, copies times the peak's tb or r.
+    """
+    points = rng._peak_points
+    return [
+        (counts, sum(c * p_tb for c, (p_tb, _p_r) in zip(counts, points)), sum(c * p_r for c, (_p_tb, p_r) in zip(counts, points)))
+        for counts in _copy_counts(len(points), count)
+    ]
 
 
 class _Generators:
@@ -289,7 +318,7 @@ class _Generators:
         # positions of one summand.
         self._slots: list[tuple[MountainRange, int, int, bool, int, int, int, int, dict[int, _Row]]] = []
         moves: list[int] = []  # the index of the left peak of each valley
-        per_summand = []  # per summand: each multiset of its peaks, as copy counts, summed tb and summed r
+        per_summand = []  # per summand: each multiset of its peaks (:func:`_peak_multisets`)
         offset = 0
         other_top = sum(count * top for _rng, count, top, _hi, _lo in summands)
         r_hi = sum(count * hi for _rng, count, _top, hi, _lo in summands)
@@ -301,14 +330,9 @@ class _Generators:
                 r_hi -= hi
                 r_lo -= lo
                 self._slots.append((rng, offset, top, k > 0, count - 1 - k, other_top, r_hi, r_lo, rows))
-            width = rng.peak_count
-            moves.extend(range(offset, offset + width - 1))
-            points = rng._peak_points
-            per_summand.append([
-                (tuple(combo.count(j) for j in range(width)), sum(points[j][0] for j in combo), sum(points[j][1] for j in combo))
-                for combo in combinations_with_replacement(range(width), count)
-            ])
-            offset += width
+            moves.extend(range(offset, offset + rng.peak_count - 1))
+            per_summand.append(_peak_multisets(rng, count))
+            offset += rng.peak_count
         # Per generator: its top (tb, r), and the generators its valley moves reach.
         self._tops: list[tuple[Generator, int, int, list[Generator]]] = []
         for parts in product(*per_summand):
@@ -368,39 +392,53 @@ class _Generators:
         """
         counts = [0] * self._width
         for f, slot in zip(factors, self._slots):
-            counts[slot[1] + slot[8][f.tb][2][f.r]] += 1
+            counts[slot[1] + slot[8][f.tb][3][f.r]] += 1
         return tuple(counts)
 
     @staticmethod
     def _row(rng: MountainRange, rows: dict[int, _Row], tb: int) -> _Row:
         """The factor row of ``rng`` at level tb, made on first use.
 
-        A row holds the level's r values ascending, a dict from each of them
-        to its factor, ``None`` until :meth:`_intern` makes it, and a dict
-        from each interned r to the factor's label region.  Threads that make
-        the same row at once keep the first one stored.
+        A row holds the level's r values ascending; a dict from each of them
+        to its text, ``None`` until :meth:`_format` writes it, so one lookup
+        tests membership and reads the text; and two dicts that
+        :meth:`_intern` fills, from each interned r to its factor and to the
+        factor's label region.  Threads that make the same row at once keep
+        the first one stored.
         """
         level = _level_points(rng._peak_points, tb)
-        return rows.setdefault(tb, (level, dict.fromkeys(level), {}))
+        return rows.setdefault(tb, (level, dict.fromkeys(level), {}, {}))
+
+    @staticmethod
+    def _format(rng: MountainRange, row: _Row, tb: int, r: int) -> str:
+        """The text ``K(tb,r)`` of the point (tb, r) of ``rng``, stored in its row.
+
+        Each point is formatted on its first use, once per builder; no
+        factor object is made.
+        """
+        text = row[1][r] = f"{rng.knot_id}({tb},{r})"
+        return text
 
     def _intern(self, rng: MountainRange, row: _Row, tb: int, r: int) -> SimpleClass:
-        """The factor at (tb, r) of ``rng``, stored in its row with its text and label region.
+        """The factor at (tb, r) of ``rng``, stored in its row with its label region.
 
         The region is the index of the leftmost peak whose cone holds the
         point.  The point shares the parity of every peak of its range, so it
         lies in a peak's cone iff its r is within the peak's tb drop of the
-        peak's r.  Every tuple this builder makes holds the row's factor, so
-        a factor point is one :class:`SimpleClass`, formatted once, however
-        many tuples hold it.  Threads that intern the same point at once may
-        each make one; they are equal values, so either serves.
+        peak's r.  The factor's text is the row's text of the point.  Every
+        tuple this builder makes holds the row's factor, so a factor point is
+        one :class:`SimpleClass`, formatted once, however many tuples hold
+        it.  Only tuples intern factors; ids read the row's texts alone.
+        Threads that intern the same point at once may each make one; they
+        are equal values, so either serves.
         """
         for region, (p_tb, p_r) in enumerate(rng._peak_points):
             if abs(r - p_r) <= p_tb - tb:
                 break
         f = SimpleClass(rng.knot_id, tb, r)
-        object.__setattr__(f, "_text", f"{rng.knot_id}({tb},{r})")  # fills the cached property
-        row[2][r] = region
-        row[1][r] = f
+        object.__setattr__(f, "_text", row[1][r] or self._format(rng, row, tb, r))  # fills the cached property
+        row[3][r] = region
+        row[2][r] = f
         return f
 
     def walk(self, tb: int, r: int, text: bool) -> Iterator[TupleClass] | Iterator[str]:
@@ -409,9 +447,9 @@ class _Generators:
         Factor positions are filled left to right, each over tb descending
         and r ascending, the candidates of a level sliced from its factor row
         (:meth:`_row`) by bisection.  The last position is solved inline, in
-        the loop over the position before it: its factor is what remains of
+        the loop over the position before it: its point is what remains of
         (tb, r), a member iff that r is a key of its level's row, which holds
-        the factor too, so one dict lookup answers both.  So an n-factor sum
+        its text too, so one dict lookup answers both.  So an n-factor sum
         nests n - 1 generators, none of them per last-position candidate; an
         n = 2 sum runs one per point.
         A position's tb is at least what its later positions cannot absorb:
@@ -422,36 +460,38 @@ class _Generators:
         and ``r_hi`` sum ``min(p.r - p.tb)`` and ``max(p.r + p.tb)``.  Within
         a summand the order is kept by taking the next factor's tb at most
         the previous one's, and its r at least the previous one's at equal
-        tb.  Factors are taken from this builder's rows, interned on first
-        use (:meth:`_intern`), so a factor point is one :class:`SimpleClass`,
-        its text formatted once, however many tuples hold it.
-        The id form carries the head's text, each factor's followed by
-        ``|``, down the walk, so a member's id is one concatenation of the
-        head and its last two factors' texts.
+        tb.
+        The id form makes no factor object: it carries the head's text, each
+        point's followed by ``|``, down the walk, and reads each point's
+        text from its row, formatted on first use (:meth:`_format`), so a
+        member's id is one concatenation of the head and its last two
+        points' texts.  The tuple form takes its factors from the same rows,
+        interned on first use (:meth:`_intern`), so a factor point is one
+        :class:`SimpleClass` however many tuples hold it.
         """
         last = len(self._slots) - 1
         if last:
-            return self._walk(0, tb - last, r, "" if text else (), None, text)
+            return self._walk(0, tb - last, r, "" if text else (), 0, 0, text)
         # One factor: the point itself, if it lies in its level.
         rng, rows = self._slots[0][0], self._slots[0][8]
         row = rows.get(tb) or self._row(rng, rows, tb)
-        f = row[1].get(r, False)
-        if f is False:
+        s = row[1].get(r, False)
+        if s is False:
             return iter([])
-        f = f or self._intern(rng, row, tb, r)
-        return iter([f._text if text else TupleClass((f,))])
+        if text:
+            return iter([s or self._format(rng, row, tb, r)])
+        return iter([TupleClass((row[2].get(r) or self._intern(rng, row, tb, r),))])
 
-    def _walk(self, i: int, t: int, q: int, head: tuple[SimpleClass, ...] | str, prev: SimpleClass | None, text: bool):
+    def _walk(self, i: int, t: int, q: int, head: tuple[SimpleClass, ...] | str, prev_tb: int, prev_r: int, text: bool):
         """The tuples, or ids if ``text``, extending ``head`` by positions i, i + 1, ... at factor tb sum t, r sum q.
 
-        ``head`` is a tuple of factors, or their ids each followed by ``|``,
-        and ``prev`` its last factor.
+        ``head`` is a tuple of factors, or their texts each followed by
+        ``|``; ``prev_tb`` and ``prev_r`` are the point of its last factor,
+        read only when position i follows one of its own summand.
         """
         rng, _offset, top, follows, same, other_top, r_hi, r_lo, rows = self._slots[i]
-        row_of, intern = self._row, self._intern
-        if not follows:
-            prev = None
-        cap = prev.tb if prev else top
+        row_of, fmt, intern = self._row, self._format, self._intern
+        cap = prev_tb if follows else top
         inline = i + 2 == len(self._slots)
         if inline:
             last_slot = self._slots[i + 1]
@@ -459,35 +499,50 @@ class _Generators:
         for tb_i in range(cap, -(-(t - other_top) // (same + 1)) - 1, -1):
             rest = t - tb_i
             row = rows.get(tb_i) or row_of(rng, rows, tb_i)
-            level, factors = row[0], row[1]
+            level, texts, factors = row[0], row[1], row[2]
             r_min = q - r_hi + rest
-            if prev and tb_i == cap:
-                r_min = max(r_min, prev.r)
+            if follows and tb_i == cap:
+                r_min = max(r_min, prev_r)
             candidates = level[bisect_left(level, r_min):bisect_right(level, q - r_lo - rest)]
             if not inline:
                 for r_i in candidates:
-                    f = factors[r_i] or intern(rng, row, tb_i, r_i)
-                    yield from self._walk(i + 1, rest, q - r_i, f"{head}{f._text}|" if text else head + (f,), f, text)
+                    if text:
+                        yield from self._walk(i + 1, rest, q - r_i, f"{head}{texts[r_i] or fmt(rng, row, tb_i, r_i)}|", tb_i, r_i, True)
+                    else:
+                        f = factors.get(r_i) or intern(rng, row, tb_i, r_i)
+                        yield from self._walk(i + 1, rest, q - r_i, head + (f,), tb_i, r_i, False)
                 continue
             # The last position is (rest, q - r_i), kept after this one's
             # factor within a summand; its row answers membership and
-            # holds its factor in one lookup.
+            # holds its text in one lookup.
             if last_follows and rest > tb_i:
                 continue
             tie = last_follows and rest == tb_i
             last_row = last_rows.get(rest) or row_of(last_rng, last_rows, rest)
-            last_factors = last_row[1]
+            last_texts = last_row[1]
+            if text:
+                for r_i in candidates:
+                    q_last = q - r_i
+                    if tie and q_last < r_i:
+                        continue
+                    s_last = last_texts.get(q_last, False)
+                    if s_last is not False:
+                        # Formatted before this position's text is read,
+                        # which may be the same point.
+                        s_last = s_last or fmt(last_rng, last_row, rest, q_last)
+                        yield f"{head}{texts[r_i] or fmt(rng, row, tb_i, r_i)}|{s_last}"
+                continue
+            last_factors = last_row[2]
             for r_i in candidates:
                 q_last = q - r_i
                 if tie and q_last < r_i:
                     continue
-                f_last = last_factors.get(q_last, False)
-                if f_last is not False:
+                if q_last in last_texts:
                     # Interned before this position's factor is read, which
                     # may be the same point.
-                    f_last = f_last or intern(last_rng, last_row, rest, q_last)
-                    f = factors[r_i] or intern(rng, row, tb_i, r_i)
-                    yield f"{head}{f._text}|{f_last._text}" if text else TupleClass(head + (f, f_last))
+                    f_last = last_factors.get(q_last) or intern(last_rng, last_row, rest, q_last)
+                    f = factors.get(r_i) or intern(rng, row, tb_i, r_i)
+                    yield TupleClass(head + (f, f_last))
 
 
 def _partition(gens: _Generators, tb: int, r: int) -> tuple[dict[Generator, Generator], list[tuple[Generator | None, PosetNode]]]:

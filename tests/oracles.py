@@ -15,6 +15,8 @@ algorithm than the library uses:
   generator quotient;
 * generator classes via the valley-depth join test ``a >= alpha`` on cone
   coordinates instead of the presence of both generators;
+* a summand's peak multisets from ``combinations_with_replacement``, each
+  summed copy by copy, instead of count vectors summed peak by peak;
 * window assembly point by point, each class placed and found by a
   ``(tb, r, root)`` key, instead of a level row at a time;
 * figures drawn from per-kind cells, one builder for ranges and one for
@@ -288,6 +290,19 @@ def relation_window(spec: L.SumSpec, tb_min: int) -> L.QuotientPoset:
 
 
 # --- generator classes by valley depth ---------------------------------------------
+
+
+def peak_multisets(rng: L.MountainRange, count: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each multiset of ``count`` of the range's peaks: its copy counts, summed tb and summed r.
+
+    The multisets come from ``combinations_with_replacement`` of the peak
+    indices, and each sum takes one term per copy.
+    """
+    points = rng._peak_points
+    return [
+        (tuple(combo.count(j) for j in range(len(points))), sum(points[j][0] for j in combo), sum(points[j][1] for j in combo))
+        for combo in itertools.combinations_with_replacement(range(len(points)), count)
+    ]
 
 
 def valley_depth_classes(spec: L.SumSpec, tb: int, r: int) -> set[frozenset[tuple[int, ...]]]:

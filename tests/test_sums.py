@@ -21,7 +21,7 @@ from legsum import cli, simplicity, sums
 from legsum.cli import main
 
 from conftest import make_grid_specs, random_sums, wide_step_sums
-from oracles import bfs_members, fiber_signatures, point_window, relation_neighbors, relation_window, valley_depth_classes
+from oracles import bfs_members, fiber_signatures, peak_multisets, point_window, relation_neighbors, relation_window, valley_depth_classes
 
 
 def fiber_as_signatures(classes: list[L.PosetNode]) -> set[frozenset[str]]:
@@ -675,6 +675,13 @@ def test_box_corner_is_the_least_of_the_tops_on_random_ranges(spec):
     assert_box_corner_is_the_least_of_the_tops(spec)
 
 
+def test_peak_multisets_match_the_combinations(cat):
+    for rng in cat.values():
+        for count in range(1, 9):
+            assert sums._peak_multisets(rng, count) == peak_multisets(rng, count), (rng.knot_id, count)
+    assert sums._peak_multisets(cat["B"], 100) == peak_multisets(cat["B"], 100)
+
+
 def assert_clamped_verdicts_match(spec: L.SumSpec, below: int) -> None:
     """Check that verdicts read from the window down to the box floor F0 match those of the window ``below`` levels under it."""
     f0 = sums._box_floor(spec)
@@ -844,6 +851,53 @@ def test_listing_a_window_interns_and_formats_each_factor_point_once(monkeypatch
         assert sorted(interned) == sorted({(f.knot_id, f.tb, f.r) for t in members for f in t.factors})
         assert all(f"{f.knot_id}({f.tb},{f.r})" in t.id_string().split("|") for t in members[::97] for f in t.factors)
     assert formatted == []
+
+
+def assert_ids_match_tuples(spec: L.SumSpec, depth: int) -> None:
+    """Check that the id walk lists the tuple walk's ids at every point of a window and beside its rows.
+
+    The two forms share one builder's factor rows, so each order is checked
+    on a builder of its own: ids first, then tuples, and the reverse.
+    """
+    for ids_first in (True, False):
+        gens = sums._Generators(spec)
+        points = []
+        for tb in range(spec.top_tb, spec.top_tb - depth - 1, -1):
+            row = gens.level_points(tb)
+            points += [(tb, r) for r in [row[0] - 2, *row, row[-1] + 1, row[-1] + 2]]
+        forms = [True, False] if ids_first else [False, True]
+        walked = {text: [list(gens.walk(tb, r, text)) for tb, r in points] for text in forms}
+        tuples = [[t.id_string() for t in ts] for ts in walked[False]]
+        assert walked[True] == tuples, (spec.label(), ids_first)
+        assert any(tuples)
+
+
+def test_ids_match_tuples_on_grid(grid_specs):
+    assert len(grid_specs) == 55
+    for spec in grid_specs:
+        assert_ids_match_tuples(spec, 8)
+
+
+@given(st.one_of(random_sums(), wide_step_sums()), st.integers(0, 10))
+def test_ids_match_tuples_on_random_ranges(spec, depth):
+    assert_ids_match_tuples(spec, depth)
+
+
+def test_ids_match_tuples_on_powers_and_long_sums(A, B, Aprime):
+    # n = 3 sums such as A:2,B are grid specs.
+    for n in range(1, 9):
+        assert_ids_match_tuples(L.SumSpec.of([(B, n)]), 4)
+    assert_ids_match_tuples(L.SumSpec.of([(A, 3), (B, 3), (Aprime, 3)]), 4)
+
+
+@pytest.mark.parametrize("spec, tb, r", [("B,Aprime", -11, -4), ("A,B", -10, 3), ("A:2,B", -8, 0), ("A", -3, 1)])
+def test_fiber_ids_make_no_factor_object(monkeypatch, capsys, spec, tb, r):
+    interned = record_calls(monkeypatch, sums._Generators, "_intern")
+    made = record_calls(monkeypatch, L.SimpleClass, "__init__")
+    assert main(["fiber", "--spec", spec, f"--tb={tb}", f"--r={r}"]) == 0
+    rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
+    assert rows[2] == ["classes", "1"] and rows[3] == ["class", "0", str(len(rows) - 4), rows[4][2]]
+    assert (interned, made) == ([], [])
 
 
 def test_import_leaves_the_thread_pool_unloaded():
