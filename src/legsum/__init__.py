@@ -4,7 +4,8 @@ The package models Legendrian-simple knot types as mountain ranges over the
 (tb, r) lattice, builds connected sums as quotients of factor tuples by
 stabilization transfer and permutation moves, searches for connecting path
 words, and evaluates a closed-form simplicity criterion against an exact
-brute-force window oracle.
+window check, which reads generator components at boxed points and walks
+tuples only at points of several classes.
 """
 
 from .errors import (

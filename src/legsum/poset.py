@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import WindowTooShallow
 from .ranges import NEG, POS, SIGNS, check_sign
@@ -42,28 +42,31 @@ class PosetNode:
     ``members`` holds the canonical tuples of the class, representative
     first; hand-built fixture nodes leave it empty.  ``ids`` holds their id
     strings, in the same order.  A node built at a point of several classes
-    holds its members from the start.  A one-class point's node holds instead
-    the walk of its point (see :meth:`_lazy`), run on first read only, so
-    outputs that never list or name the class never enumerate it.  Its ids
-    are then walked as text, with no tuple objects, and its key is the first
-    of them once they are read, so reading ``ids`` before ``key`` walks the
-    point once.  Otherwise the key is the representative's id string.
-    Equality and repr read the members; the hash does not.
+    holds its members from the start.  A one-class point's node holds
+    instead the builder of its sum (see :meth:`_lazy`) and walks its point
+    on first read only, so outputs that never list or name the class never
+    enumerate it.  Its ids are then walked as text, with no tuple objects,
+    and its key is the first of them once they are read, so reading ``ids``
+    before ``key`` walks the point once.  Otherwise the key is the
+    representative's id string.  Equality and repr read the members; the
+    hash does not.
     """
 
-    __slots__ = ("_key", "tb", "r", "_members", "_ids", "_walk")
+    __slots__ = ("_key", "tb", "r", "_members", "_ids", "_gens")
 
     def __init__(self, key: str, tb: int, r: int, members: tuple = ()) -> None:
         _fill(self, key, tb, r, members, None, None)
 
     @classmethod
-    def _lazy(cls, tb: int, r: int, walk: Callable[[bool], Iterator]) -> "PosetNode":
-        """A one-class node whose members are ``walk(False)`` and ids ``walk(True)``, each walked on first read.
+    def _lazy(cls, tb: int, r: int, gens) -> "PosetNode":
+        """A one-class node that holds the builder ``gens`` of its sum, a :class:`legsum.sums._Generators`.
 
-        The walk is dropped once the members are read.
+        Its members are ``gens.walk(tb, r, False)`` and its ids
+        ``gens.walk(tb, r, True)``, each walked on first read.  The node
+        drops the builder once the members are read.
         """
         node = object.__new__(cls)
-        _fill(node, None, tb, r, None, None, walk)
+        _fill(node, None, tb, r, None, None, gens)
         return node
 
     def __setattr__(self, name: str, value) -> None:
@@ -72,17 +75,17 @@ class PosetNode:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    # Concurrent first reads each walk and store equal values.  The walk is
-    # read before the members and cleared after them, so a reader that finds
-    # it gone finds the members set.
+    # Concurrent first reads each walk and store equal values.  The builder
+    # is read before the members and cleared after them, so a reader that
+    # finds it gone finds the members set.
 
     @property
     def members(self) -> tuple:
-        walk, members = self._walk, self._members
+        gens, members = self._gens, self._members
         if members is None:
-            members = tuple(walk(False))
+            members = tuple(gens.walk(self.tb, self.r, False))
             object.__setattr__(self, "_members", members)
-            object.__setattr__(self, "_walk", None)
+            object.__setattr__(self, "_gens", None)
         return members
 
     @property
@@ -90,16 +93,16 @@ class PosetNode:
         """The members' id strings, in member order."""
         ids = self._ids
         if ids is None:
-            walk, members = self._walk, self._members
-            ids = tuple(walk(True) if members is None else [t.id_string() for t in members])
+            gens, members = self._gens, self._members
+            ids = tuple(gens.walk(self.tb, self.r, True) if members is None else [t.id_string() for t in members])
             object.__setattr__(self, "_ids", ids)
         return ids
 
     @property
     def representative(self):
-        walk, members = self._walk, self._members
+        gens, members = self._gens, self._members
         if members is None:
-            return next(walk(False))
+            return next(gens.walk(self.tb, self.r, False))
         return members[0] if members else None
 
     @property
@@ -136,15 +139,15 @@ class PosetNode:
 _SET_SLOT = tuple(PosetNode.__dict__[name].__set__ for name in PosetNode.__slots__)
 
 
-def _fill(node: PosetNode, key, tb, r, members, ids, walk) -> None:
+def _fill(node: PosetNode, key, tb, r, members, ids, gens) -> None:
     """Set a node's slots past its frozen ``__setattr__``."""
-    set_key, set_tb, set_r, set_members, set_ids, set_walk = _SET_SLOT
+    set_key, set_tb, set_r, set_members, set_ids, set_gens = _SET_SLOT
     set_key(node, key)
     set_tb(node, tb)
     set_r(node, r)
     set_members(node, members)
     set_ids(node, ids)
-    set_walk(node, walk)
+    set_gens(node, gens)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ Two independent routes are provided and deliberately kept apart:
 * :func:`criterion` evaluates the closed-form classification on the shape
   of the summands alone (how many peaks each has, with what multiplicity);
   its verdict is global.
-* :func:`simplicity_in_window` decides by brute force whether any (tb, r)
-  point in a truncated window carries two distinct classes; its verdict is
-  about the window only.
+* :func:`simplicity_in_window` decides whether any (tb, r) point in a
+  truncated window carries two distinct classes; it reads the generator
+  components at boxed points and walks tuples only at points of several
+  classes.  Its verdict is about the window only.
 
 For sums that are not simple, :func:`nonsimplicity_witness` builds the
 explicit colliding pair: two tuples assembled from valley parents that share
@@ -81,7 +82,7 @@ class WitnessPair:
 
 @dataclass(frozen=True)
 class WindowVerdict:
-    """Result of the brute-force window oracle."""
+    """Result of the window check: generator components at boxed points, tuples walked only where a point has several classes."""
 
     simple_in_window: bool
     tb_min: int

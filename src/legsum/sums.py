@@ -20,13 +20,15 @@ can have several classes (see :class:`_Generators`); each such point is
 listed once, when it is built, in one pass over its canonical tuples in
 canonical order, each labelled with the component of its peak-multiset
 generator.  A class's first tuple is its representative and names its
-node.  A one-class point is walked only when its class is first read, so
-only outputs that name or list it pay for it.  The walk has a second form
-for outputs that list member ids only: it makes no factor object at all,
-neither :class:`TupleClass` nor :class:`SimpleClass`.  It carries the text
-of the tuple so far, reads each factor point's text from its factor row,
-and makes each id by one string concatenation.  A one-class point's member
-ids come from that walk, and its key is the first of them.
+node.  A one-class point's node holds the builder and walks the point
+only when its class is first read, so only outputs that name or list it
+pay for it.  The walk lists a point in one of two forms from the same
+loops: as tuples, or, for outputs that list member ids only, as ids.  The
+id form makes no factor object at all, neither :class:`TupleClass` nor
+:class:`SimpleClass`: it carries the text of the tuple so far, reads each
+factor point's text from its factor row where the tuple form reads its
+factor, and makes each id by one string concatenation.  A one-class
+point's member ids come from that form, and its key is the first of them.
 
 Windows and tuples are both read a level row at a time.  A window of the
 quotient poset is a stack of the sum's level rows, from the top down.  The
@@ -44,7 +46,6 @@ point holds the same factor, and a point is formatted once per builder.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
@@ -210,8 +211,10 @@ def iter_canonical_tuples(spec: SumSpec, factor_tb_sum: int) -> Iterator[TupleCl
 
 Generator = tuple[int, ...]
 # A factor row: a range's r values at one level, the text of each of its
-# points (None until first formatted), and the factor and the label region
-# of each point interned as a :class:`SimpleClass`.
+# points (None until first formatted; its keys are the level's points), and
+# the factor and the label region of each point interned as a
+# :class:`SimpleClass`.  The walk's id form reads cell 1, its tuple form
+# cell 2.
 _Row = tuple[list[int], dict[int, str | None], dict[int, SimpleClass], dict[int, int]]
 
 
@@ -400,8 +403,8 @@ class _Generators:
         """The factor row of ``rng`` at level tb, made on first use.
 
         A row holds the level's r values ascending; a dict from each of them
-        to its text, ``None`` until :meth:`_format` writes it, so one lookup
-        tests membership and reads the text; and two dicts that
+        to its text, ``None`` until :meth:`_format` writes it, whose keys
+        answer membership in both forms of :meth:`walk`; and two dicts that
         :meth:`_intern` fills, from each interned r to its factor and to the
         factor's label region.  Threads that make the same row at once keep
         the first one stored.
@@ -414,7 +417,7 @@ class _Generators:
         """The text ``K(tb,r)`` of the point (tb, r) of ``rng``, stored in its row.
 
         Each point is formatted on its first use, once per builder; no
-        factor object is made.
+        factor object is made.  This is the id form's maker in :meth:`walk`.
         """
         text = row[1][r] = f"{rng.knot_id}({tb},{r})"
         return text
@@ -428,7 +431,8 @@ class _Generators:
         peak's r.  The factor's text is the row's text of the point.  Every
         tuple this builder makes holds the row's factor, so a factor point is
         one :class:`SimpleClass`, formatted once, however many tuples hold
-        it.  Only tuples intern factors; ids read the row's texts alone.
+        it.  This is the tuple form's maker in :meth:`walk`, as
+        :meth:`_format` is the id form's; ids read the row's texts alone.
         Threads that intern the same point at once may each make one; they
         are equal values, so either serves.
         """
@@ -448,10 +452,9 @@ class _Generators:
         and r ascending, the candidates of a level sliced from its factor row
         (:meth:`_row`) by bisection.  The last position is solved inline, in
         the loop over the position before it: its point is what remains of
-        (tb, r), a member iff that r is a key of its level's row, which holds
-        its text too, so one dict lookup answers both.  So an n-factor sum
-        nests n - 1 generators, none of them per last-position candidate; an
-        n = 2 sum runs one per point.
+        (tb, r), a member iff that r is a key of its level's row texts.  So
+        an n-factor sum nests n - 1 generators, none of them per
+        last-position candidate; an n = 2 sum runs one per point.
         A position's tb is at least what its later positions cannot absorb:
         those of other summands reach at most their summed tops
         (``other_top``), the ``same`` later ones of its own summand at most
@@ -461,13 +464,14 @@ class _Generators:
         a summand the order is kept by taking the next factor's tb at most
         the previous one's, and its r at least the previous one's at equal
         tb.
-        The id form makes no factor object: it carries the head's text, each
-        point's followed by ``|``, down the walk, and reads each point's
-        text from its row, formatted on first use (:meth:`_format`), so a
-        member's id is one concatenation of the head and its last two
-        points' texts.  The tuple form takes its factors from the same rows,
-        interned on first use (:meth:`_intern`), so a factor point is one
-        :class:`SimpleClass` however many tuples hold it.
+        Both forms run the same loops and read each point's cell from its
+        row: its text for ids, formatted on first use (:meth:`_format`),
+        its factor for tuples, interned on first use (:meth:`_intern`).  The
+        id form makes no factor object: it carries the head's text, each
+        point's followed by ``|``, so a member's id is one concatenation of
+        the head and its last two points' texts.  The tuple form carries the
+        head's factors, so a factor point is one :class:`SimpleClass`
+        however many tuples hold it.
         """
         last = len(self._slots) - 1
         if last:
@@ -475,22 +479,24 @@ class _Generators:
         # One factor: the point itself, if it lies in its level.
         rng, rows = self._slots[0][0], self._slots[0][8]
         row = rows.get(tb) or self._row(rng, rows, tb)
-        s = row[1].get(r, False)
-        if s is False:
+        if r not in row[1]:
             return iter([])
-        if text:
-            return iter([s or self._format(rng, row, tb, r)])
-        return iter([TupleClass((row[2].get(r) or self._intern(rng, row, tb, r),))])
+        cell_at, make = (1, self._format) if text else (2, self._intern)
+        cell = row[cell_at].get(r) or make(rng, row, tb, r)
+        return iter([cell if text else TupleClass((cell,))])
 
     def _walk(self, i: int, t: int, q: int, head: tuple[SimpleClass, ...] | str, prev_tb: int, prev_r: int, text: bool):
         """The tuples, or ids if ``text``, extending ``head`` by positions i, i + 1, ... at factor tb sum t, r sum q.
 
         ``head`` is a tuple of factors, or their texts each followed by
         ``|``; ``prev_tb`` and ``prev_r`` are the point of its last factor,
-        read only when position i follows one of its own summand.
+        read only when position i follows one of its own summand.  The form
+        picks the row cells read and the maker that fills them; the head's
+        growth and the member made are the only other places it decides.
         """
         rng, _offset, top, follows, same, other_top, r_hi, r_lo, rows = self._slots[i]
-        row_of, fmt, intern = self._row, self._format, self._intern
+        row_of = self._row
+        cell_at, make = (1, self._format) if text else (2, self._intern)
         cap = prev_tb if follows else top
         inline = i + 2 == len(self._slots)
         if inline:
@@ -499,50 +505,33 @@ class _Generators:
         for tb_i in range(cap, -(-(t - other_top) // (same + 1)) - 1, -1):
             rest = t - tb_i
             row = rows.get(tb_i) or row_of(rng, rows, tb_i)
-            level, texts, factors = row[0], row[1], row[2]
+            level, cells = row[0], row[cell_at]
             r_min = q - r_hi + rest
             if follows and tb_i == cap:
                 r_min = max(r_min, prev_r)
             candidates = level[bisect_left(level, r_min):bisect_right(level, q - r_lo - rest)]
             if not inline:
                 for r_i in candidates:
-                    if text:
-                        yield from self._walk(i + 1, rest, q - r_i, f"{head}{texts[r_i] or fmt(rng, row, tb_i, r_i)}|", tb_i, r_i, True)
-                    else:
-                        f = factors.get(r_i) or intern(rng, row, tb_i, r_i)
-                        yield from self._walk(i + 1, rest, q - r_i, head + (f,), tb_i, r_i, False)
+                    c = cells.get(r_i) or make(rng, row, tb_i, r_i)
+                    yield from self._walk(i + 1, rest, q - r_i, f"{head}{c}|" if text else head + (c,), tb_i, r_i, text)
                 continue
             # The last position is (rest, q - r_i), kept after this one's
-            # factor within a summand; its row answers membership and
-            # holds its text in one lookup.
+            # factor within a summand; its row's texts answer membership.
             if last_follows and rest > tb_i:
                 continue
             tie = last_follows and rest == tb_i
             last_row = last_rows.get(rest) or row_of(last_rng, last_rows, rest)
-            last_texts = last_row[1]
-            if text:
-                for r_i in candidates:
-                    q_last = q - r_i
-                    if tie and q_last < r_i:
-                        continue
-                    s_last = last_texts.get(q_last, False)
-                    if s_last is not False:
-                        # Formatted before this position's text is read,
-                        # which may be the same point.
-                        s_last = s_last or fmt(last_rng, last_row, rest, q_last)
-                        yield f"{head}{texts[r_i] or fmt(rng, row, tb_i, r_i)}|{s_last}"
-                continue
-            last_factors = last_row[2]
+            last_texts, last_cells = last_row[1], last_row[cell_at]
             for r_i in candidates:
                 q_last = q - r_i
                 if tie and q_last < r_i:
                     continue
                 if q_last in last_texts:
-                    # Interned before this position's factor is read, which
-                    # may be the same point.
-                    f_last = last_factors.get(q_last) or intern(last_rng, last_row, rest, q_last)
-                    f = factors.get(r_i) or intern(rng, row, tb_i, r_i)
-                    yield TupleClass(head + (f, f_last))
+                    # When both are one point, the second lookup finds
+                    # the cell the first made.
+                    c_last = last_cells.get(q_last) or make(last_rng, last_row, rest, q_last)
+                    c = cells.get(r_i) or make(rng, row, tb_i, r_i)
+                    yield f"{head}{c}|{c_last}" if text else TupleClass(head + (c, c_last))
 
 
 def _partition(gens: _Generators, tb: int, r: int) -> tuple[dict[Generator, Generator], list[tuple[Generator | None, PosetNode]]]:
@@ -552,26 +541,22 @@ def _partition(gens: _Generators, tb: int, r: int) -> tuple[dict[Generator, Gene
     box of :meth:`_Generators.boxed` a point of the sum has one class, with
     root ``None``.  Tuples whose generators share a component form one
     class, named by its representative, its first tuple in the canonical
-    order :meth:`_Generators.walk` yields.  A one-class point walks no
-    tuple until it is read (:func:`_one_class`).  A point of several
-    classes lies in the box and is listed in one labelled pass, each
-    class's members kept in its node; nodes come in representative order.
+    order :meth:`_Generators.walk` yields.  A one-class point's node holds
+    the builder and walks no tuple until it is read
+    (:meth:`PosetNode._lazy`).  A point of several classes lies in the box
+    and is listed in one labelled pass, each class's members kept in its
+    node; nodes come in representative order.
     """
     components = gens.components(tb, r)
     if not components:
         return components, []
     roots = set(components.values()) if gens.boxed(tb, r) else {None}
     if len(roots) == 1:
-        return components, [(roots.pop(), _one_class(gens, tb, r))]
+        return components, [(roots.pop(), PosetNode._lazy(tb, r, gens))]
     groups: dict[Generator, list[TupleClass]] = {}
     for t in gens.walk(tb, r, False):
         groups.setdefault(components[gens.label(t.factors)], []).append(t)
     return components, [(root, PosetNode(g[0].id_string(), tb, r, tuple(g))) for root, g in groups.items()]
-
-
-def _one_class(gens: _Generators, tb: int, r: int) -> PosetNode:
-    """The node of a one-class point, which walks the point, as tuples or as ids (:meth:`_Generators.walk`), on first read."""
-    return PosetNode._lazy(tb, r, functools.partial(gens.walk, tb, r))
 
 
 def enumerate_fiber(spec: SumSpec, tb: int, r: int) -> list[PosetNode]:
@@ -658,7 +643,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
             at[r] = len(nodes)
             if not lo <= k < hi:
                 here.append((r, None))
-                nodes.append(_one_class(gens, tb, r))
+                nodes.append(PosetNode._lazy(tb, r, gens))
                 continue
             components, classes = next(parts)
             if len(classes) > 1:

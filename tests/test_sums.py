@@ -4,6 +4,7 @@ import collections
 import functools
 import gc
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -897,6 +898,17 @@ def test_fiber_ids_make_no_factor_object(monkeypatch, capsys, spec, tb, r):
     assert main(["fiber", "--spec", spec, f"--tb={tb}", f"--r={r}"]) == 0
     rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
     assert rows[2] == ["classes", "1"] and rows[3] == ["class", "0", str(len(rows) - 4), rows[4][2]]
+    assert (interned, made) == ([], [])
+
+
+def test_sum_json_ids_make_no_factor_object(monkeypatch, capsys):
+    # U1,A is simple, so the writer lists every class's ids by the id walk.
+    interned = record_calls(monkeypatch, sums._Generators, "_intern")
+    made = record_calls(monkeypatch, L.SimpleClass, "__init__")
+    assert main(["sum", "--spec", "U1,A", "--depth", "10", "--format", "json"]) == 0
+    nodes = json.loads(capsys.readouterr().out)["nodes"]
+    assert len({tuple(node["point"]) for node in nodes}) == len(nodes)
+    assert sum(node["size"] for node in nodes) > len(nodes)
     assert (interned, made) == ([], [])
 
 
