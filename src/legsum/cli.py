@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import documents
+from ._values import Value
 from .documents import dump_json, to_jsonable
 from .render import ASCII, SVG, RenderSpec, placeholder, render as render_figure
 from .errors import LegsumError, RangeInvalid
@@ -34,13 +34,27 @@ from .simplicity import (
 from .sums import SumSpec, _box_report, build_quotient, enumerate_fiber, peaks_of_sum
 
 
-@dataclass
-class Result:
-    payload: dict
-    text: str
-    figure: bytes | None = None
-    code: int = 0
-    document: str | None = None  # the JSON document, when the command writes it itself
+class Result(Value):
+    """What a command returns to :func:`main`; unlike legsum's value types, it is mutable and unhashable."""
+
+    __match_args__ = ("payload", "text", "figure", "code", "document")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        payload: dict,
+        text: str,
+        figure: bytes | None = None,
+        code: int = 0,
+        document: str | None = None,  # the JSON document, when the command writes it itself
+    ) -> None:
+        self.payload = payload
+        self.text = text
+        self.figure = figure
+        self.code = code
+        self.document = document
 
 
 def _rows(*rows) -> str:

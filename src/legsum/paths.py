@@ -18,9 +18,9 @@ on a factor tuple.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._values import Value, init
 from .errors import (
     InvariantMismatch,
     LengthMismatch,
@@ -35,20 +35,17 @@ IDENT = "0"
 EPSILONS = (IDENT, POS, NEG)
 
 
-@dataclass(frozen=True)
-class PathLetter:
+class PathLetter(Value):
     """S_epsilon^eta; the identity letter S_0 normalizes its exponent to 1."""
 
-    epsilon: str
-    eta: int = 1
+    __slots__ = __match_args__ = ("epsilon", "eta")
 
-    def __post_init__(self) -> None:
-        if self.epsilon not in EPSILONS:
-            raise ValueError(f"epsilon must be one of {EPSILONS}, got {self.epsilon!r}")
-        if self.eta not in (1, -1):
-            raise ValueError(f"eta must be +1 or -1, got {self.eta!r}")
-        if self.epsilon == IDENT:
-            object.__setattr__(self, "eta", 1)
+    def __init__(self, epsilon: str, eta: int = 1) -> None:
+        if epsilon not in EPSILONS:
+            raise ValueError(f"epsilon must be one of {EPSILONS}, got {epsilon!r}")
+        if eta not in (1, -1):
+            raise ValueError(f"eta must be +1 or -1, got {eta!r}")
+        init(self, epsilon, 1 if epsilon == IDENT else eta)
 
     @property
     def is_identity(self) -> bool:
@@ -63,11 +60,13 @@ class PathLetter:
         return self.epsilon + ("^-1" if self.eta == -1 else "")
 
 
-@dataclass(frozen=True)
-class PathWord:
+class PathWord(Value):
     """A finite word of path letters, stored first-applied first."""
 
-    letters: tuple[PathLetter, ...] = ()
+    __slots__ = __match_args__ = ("letters",)
+
+    def __init__(self, letters: tuple[PathLetter, ...] = ()) -> None:
+        init(self, letters)
 
     def __len__(self) -> int:
         return len(self.letters)

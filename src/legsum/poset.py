@@ -27,16 +27,16 @@ that would need rows above a non-global top raise
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator
 
+from ._values import Value, init, setters
 from .errors import WindowTooShallow
 from .ranges import NEG, POS, SIGNS, check_sign
 
 Point = tuple[int, int]
 
 
-class PosetNode:
+class PosetNode(Value):
     """One equivalence class in the window: an immutable value.
 
     ``members`` holds the canonical tuples of the class, representative
@@ -68,12 +68,6 @@ class PosetNode:
         node = object.__new__(cls)
         _fill(node, None, tb, r, None, None, gens)
         return node
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     # Concurrent first reads each walk and store equal values.  The builder
     # is read before the members and cleared after them, so a reader that
@@ -136,7 +130,7 @@ class PosetNode:
         return (PosetNode, (self.key, self.tb, self.r, self.members))
 
 
-_SET_SLOT = tuple(PosetNode.__dict__[name].__set__ for name in PosetNode.__slots__)
+_SET_SLOT = setters(PosetNode, PosetNode.__slots__)
 
 
 def _fill(node: PosetNode, key, tb, r, members, ids, gens) -> None:
@@ -150,11 +144,24 @@ def _fill(node: PosetNode, key, tb, r, members, ids, gens) -> None:
     set_gens(node, gens)
 
 
-@dataclass(frozen=True)
-class Edge:
-    parent: str
-    sign: str
-    child: str
+class Edge(Value):
+    __slots__ = __match_args__ = ("parent", "sign", "child")
+
+    def __init__(self, parent: str, sign: str, child: str) -> None:
+        _set_parent(self, parent)
+        _set_sign(self, sign)
+        _set_child(self, child)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parent, self.sign, self.child) == (other.parent, other.sign, other.child)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.sign, self.child))
+
+
+_set_parent, _set_sign, _set_child = setters(Edge)
 
 
 class QuotientPoset:
@@ -410,21 +417,28 @@ def find_nmax(poset: QuotientPoset) -> list[Point]:
     return _maximal(poset, nonsimple_points(poset))
 
 
-@dataclass(frozen=True)
-class DichotomyVerdict:
-    point: Point
-    fiber_size: int
-    case: str  # "case1" | "case2" | "violation"
+class DichotomyVerdict(Value):
+    """The case of a maximal nonsimple point: ``"case1"``, ``"case2"`` or ``"violation"``."""
+
+    __slots__ = __match_args__ = ("point", "fiber_size", "case")
+
+    def __init__(self, point: Point, fiber_size: int, case: str) -> None:
+        init(self, point, fiber_size, case)
 
 
-@dataclass(frozen=True)
-class NonsimpleReport:
+class NonsimpleReport(Value):
     """Summary of where and how a window fails to be simple."""
 
-    tb_min: int
-    top_tb: int
-    nonsimple: tuple[tuple[Point, int], ...]
-    nmax: tuple[DichotomyVerdict, ...]
+    __slots__ = __match_args__ = ("tb_min", "top_tb", "nonsimple", "nmax")
+
+    def __init__(
+        self,
+        tb_min: int,
+        top_tb: int,
+        nonsimple: tuple[tuple[Point, int], ...],
+        nmax: tuple[DichotomyVerdict, ...],
+    ) -> None:
+        init(self, tb_min, top_tb, nonsimple, nmax)
 
     @property
     def simple(self) -> bool:

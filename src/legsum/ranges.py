@@ -20,9 +20,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._values import Value, init, setters
 from .errors import (
     MisplacedValley,
     NonIntegralValley,
@@ -50,35 +50,67 @@ def other_sign(sign: str) -> str:
     return NEG if check_sign(sign) == POS else POS
 
 
-@dataclass(frozen=True, order=True)
-class Peak:
-    """A maximal point of a mountain range: no destabilization exists."""
+@functools.total_ordering
+class Peak(Value):
+    """A maximal point of a mountain range: no destabilization exists.
 
-    tb: int
-    r: int
+    Peaks are ordered by (tb, r).
+    """
+
+    __slots__ = __match_args__ = ("tb", "r")
+
+    def __init__(self, tb: int, r: int) -> None:
+        _set_peak_tb(self, tb)
+        _set_peak_r(self, r)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tb, self.r) == (other.tb, other.r)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tb, self.r))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tb, self.r) < (other.tb, other.r)
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class Valley:
+_set_peak_tb, _set_peak_r = setters(Peak)
+
+
+class Valley(Value):
     """The top point shared by the cones of two adjacent peaks.
 
     ``left`` and ``right`` are the indices of those peaks in the range's
     peak list.
     """
 
-    tb: int
-    r: int
-    left: int
-    right: int
+    __slots__ = __match_args__ = ("tb", "r", "left", "right")
+
+    def __init__(self, tb: int, r: int, left: int, right: int) -> None:
+        init(self, tb, r, left, right)
 
 
-@dataclass(frozen=True)
-class SimpleClass:
+class SimpleClass(Value):
     """An isotopy class of a Legendrian-simple knot: a named (tb, r) point."""
 
-    knot_id: str
-    tb: int
-    r: int
+    __slots__ = ("knot_id", "tb", "r", "__dict__")  # the dict holds the cached text
+    __match_args__ = ("knot_id", "tb", "r")
+
+    def __init__(self, knot_id: str, tb: int, r: int) -> None:
+        _set_knot_id(self, knot_id)
+        _set_tb(self, tb)
+        _set_r(self, r)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.knot_id, self.tb, self.r) == (other.knot_id, other.tb, other.r)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.knot_id, self.tb, self.r))
 
     @property
     def point(self) -> tuple[int, int]:
@@ -100,30 +132,36 @@ class SimpleClass:
         return self._text
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
+_set_knot_id, _set_tb, _set_r = setters(SimpleClass)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class Violation(Value):
+    __slots__ = __match_args__ = ("code", "message")
+
+    def __init__(self, code: str, message: str) -> None:
+        init(self, code, message)
+
+
+class ValidationReport(Value):
     """Outcome of validating a range; lists every violated invariant."""
 
-    knot_id: str
-    violations: tuple[Violation, ...]
+    __slots__ = __match_args__ = ("knot_id", "violations")
+
+    def __init__(self, knot_id: str, violations: tuple[Violation, ...]) -> None:
+        init(self, knot_id, violations)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(Value):
     """Membership verdict for a point: contained iff some peak cone holds it."""
 
-    contains: bool
-    peak_indices: tuple[int, ...]
+    __slots__ = __match_args__ = ("contains", "peak_indices")
+
+    def __init__(self, contains: bool, peak_indices: tuple[int, ...]) -> None:
+        init(self, contains, peak_indices)
 
 
 def _cone_coords(peak: Peak, tb: int, r: int) -> tuple[int, int] | None:
@@ -144,8 +182,7 @@ def _cone_coords(peak: Peak, tb: int, r: int) -> tuple[int, int] | None:
     return (a, b)
 
 
-@dataclass(frozen=True)
-class MountainRange:
+class MountainRange(Value):
     """A validated-on-demand mountain range.
 
     ``peaks`` is ordered by strictly increasing r.  ``genus`` is an optional
@@ -153,17 +190,20 @@ class MountainRange:
     declared flag, never inferred.
     """
 
-    knot_id: str
-    peaks: tuple[Peak, ...]
-    genus: int | None = None
-    prime: bool = True
+    __match_args__ = ("knot_id", "peaks", "genus", "prime")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        knot_id: str,
+        peaks: tuple[Peak, ...],
+        genus: int | None = None,
+        prime: bool = True,
+    ) -> None:
         coerced = tuple(
             p if isinstance(p, Peak) else Peak(int(p[0]), int(p[1]))
-            for p in self.peaks
+            for p in peaks
         )
-        object.__setattr__(self, "peaks", coerced)
+        init(self, knot_id, coerced, genus, prime)
         # The (tb, r) pairs as plain ints, which level slices and factor rows read.
         object.__setattr__(self, "_peak_points", tuple((p.tb, p.r) for p in coerced))
 

@@ -12,8 +12,7 @@ identical inputs give identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._values import Value, init
 from .poset import QuotientPoset, detect_peaks, detect_valleys, nonsimple_points
 from .ranges import MountainRange
 
@@ -21,16 +20,15 @@ ASCII = "ascii"
 SVG = "svg"
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(Value):
     """How to draw: format and the window floor (inclusive)."""
 
-    format: str = ASCII
-    tb_min: int | None = None
+    __slots__ = __match_args__ = ("format", "tb_min")
 
-    def __post_init__(self) -> None:
-        if self.format not in (ASCII, SVG):
-            raise ValueError(f"format must be {ASCII!r} or {SVG!r}, got {self.format!r}")
+    def __init__(self, format: str = ASCII, tb_min: int | None = None) -> None:
+        if format not in (ASCII, SVG):
+            raise ValueError(f"format must be {ASCII!r} or {SVG!r}, got {format!r}")
+        init(self, format, tb_min)
 
 
 def _grid(model, spec: RenderSpec) -> tuple[dict[tuple[int, int], str], int, int]:

@@ -24,8 +24,8 @@ of diagonal coordinates (X, Y) determines the class, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._values import Value, init
 from .errors import LegsumError, NotApplicable, WrongPeakCount
 from .poset import find_nmax
 from .ranges import NEG, POS, MountainRange, SimpleClass
@@ -37,16 +37,16 @@ CASE_BIG_PEAK = "one-big-peak-multiplicity-1"
 CASE_NONE = "none"
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(Value):
     """Global verdict of the shape criterion.
 
     ``peak_counts`` lists (knot_id, multiplicity, peak count) per summand.
     """
 
-    simple: bool
-    matched_case: str
-    peak_counts: tuple[tuple[str, int, int], ...]
+    __slots__ = __match_args__ = ("simple", "matched_case", "peak_counts")
+
+    def __init__(self, simple: bool, matched_case: str, peak_counts: tuple[tuple[str, int, int], ...]) -> None:
+        init(self, simple, matched_case, peak_counts)
 
 
 def criterion(spec: SumSpec) -> CriterionVerdict:
@@ -71,23 +71,22 @@ def criterion(spec: SumSpec) -> CriterionVerdict:
     return CriterionVerdict(False, CASE_NONE, counts)
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(Value):
     """Two tuples with equal invariants lying in distinct classes."""
 
-    point: tuple[int, int]
-    tuple_a: TupleClass
-    tuple_b: TupleClass
+    __slots__ = __match_args__ = ("point", "tuple_a", "tuple_b")
+
+    def __init__(self, point: tuple[int, int], tuple_a: TupleClass, tuple_b: TupleClass) -> None:
+        init(self, point, tuple_a, tuple_b)
 
 
-@dataclass(frozen=True)
-class WindowVerdict:
+class WindowVerdict(Value):
     """Result of the window check: generator components at boxed points, tuples walked only where a point has several classes."""
 
-    simple_in_window: bool
-    tb_min: int
-    top_tb: int
-    witness: WitnessPair | None
+    __slots__ = __match_args__ = ("simple_in_window", "tb_min", "top_tb", "witness")
+
+    def __init__(self, simple_in_window: bool, tb_min: int, top_tb: int, witness: WitnessPair | None) -> None:
+        init(self, simple_in_window, tb_min, top_tb, witness)
 
 
 def simplicity_in_window(spec: SumSpec, tb_min: int, workers: int = 0) -> WindowVerdict:
@@ -147,20 +146,20 @@ def nonsimplicity_witness(spec: SumSpec) -> WitnessPair:
 # --- two-peak powers: normal forms and diagonal coordinates ---------------------
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Value):
     """S+^a S-^b applied to p copies of the left peak and q of the right."""
 
-    a: int
-    b: int
-    p: int
-    q: int
+    __slots__ = __match_args__ = ("a", "b", "p", "q")
+
+    def __init__(self, a: int, b: int, p: int, q: int) -> None:
+        init(self, a, b, p, q)
 
 
-@dataclass(frozen=True)
-class XYInvariants:
-    x: int
-    y: int
+class XYInvariants(Value):
+    __slots__ = __match_args__ = ("x", "y")
+
+    def __init__(self, x: int, y: int) -> None:
+        init(self, x, y)
 
 
 def _two_peak_data(rng: MountainRange):

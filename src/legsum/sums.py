@@ -47,23 +47,23 @@ point holds the same factor, and a point is formatted once per builder.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
+from ._values import Value, init, setters
 from .errors import InvalidSummand, MultiplicityMismatch, WindowEmpty
 from .poset import DichotomyVerdict, NonsimpleReport, PosetNode, QuotientPoset
 from .ranges import NEG, POS, MountainRange, SimpleClass, _level_points
 
 
-@dataclass(frozen=True)
-class Summand:
-    knot_id: str
-    count: int
+class Summand(Value):
+    __slots__ = __match_args__ = ("knot_id", "count")
+
+    def __init__(self, knot_id: str, count: int) -> None:
+        init(self, knot_id, count)
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(Value):
     """A formal connected sum: distinct prime summands with multiplicities.
 
     Summand order is significant only for canonical presentation; the sum
@@ -71,14 +71,13 @@ class SumSpec:
     declarations, and repeated knot ids.
     """
 
-    summands: tuple[Summand, ...]
-    ranges: tuple[MountainRange, ...]
+    __slots__ = __match_args__ = ("summands", "ranges")
 
-    def __post_init__(self) -> None:
-        if not self.summands or len(self.summands) != len(self.ranges):
+    def __init__(self, summands: tuple[Summand, ...], ranges: tuple[MountainRange, ...]) -> None:
+        if not summands or len(summands) != len(ranges):
             raise InvalidSummand("spec needs matching summand and range lists")
         seen: set[str] = set()
-        for s, rng in zip(self.summands, self.ranges):
+        for s, rng in zip(summands, ranges):
             if s.count < 1:
                 raise InvalidSummand(f"summand {s.knot_id} has multiplicity {s.count}")
             if s.knot_id != rng.knot_id:
@@ -94,6 +93,7 @@ class SumSpec:
                     f"summand {s.knot_id} has an invalid range: "
                     + "; ".join(v.code for v in report.violations)
                 )
+        init(self, summands, ranges)
 
     @classmethod
     def of(cls, parts: Sequence[tuple[MountainRange, int]]) -> "SumSpec":
@@ -142,15 +142,25 @@ class SumSpec:
         return tb_min - (self.n - 1) - others
 
 
-@dataclass(frozen=True)
-class TupleClass:
+class TupleClass(Value):
     """A canonical factor tuple: grouped by summand, each group ordered.
 
     The in-group order is descending tb, then ascending r; build these with
     :func:`canonicalize_tuple` rather than directly.
     """
 
-    factors: tuple[SimpleClass, ...]
+    __slots__ = __match_args__ = ("factors",)
+
+    def __init__(self, factors: tuple[SimpleClass, ...]) -> None:
+        _set_factors(self, factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     def invariants(self) -> tuple[int, int]:
         tb = sum(f.tb for f in self.factors) + len(self.factors) - 1
@@ -165,6 +175,9 @@ class TupleClass:
 
     def __str__(self) -> str:
         return self.id_string()
+
+
+(_set_factors,) = setters(TupleClass)
 
 
 def _factor_key(f: SimpleClass) -> tuple[int, int]:

@@ -20,17 +20,20 @@ algorithm than the library uses:
 * window assembly point by point, each class placed and found by a
   ``(tb, r, root)`` key, instead of a level row at a time;
 * figures drawn from per-kind cells, one builder for ranges and one for
-  windows, instead of one mark grid.
+  windows, instead of one mark grid;
+* each value type's repr, equality, hash, ordering and immutability from a
+  dataclass twin made by ``make_dataclass``, instead of the type's own
+  methods.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, make_dataclass
 
 import legsum as L
-from legsum import sums
+from legsum import cli, sums
 
 Point = tuple[int, int]
 
@@ -559,3 +562,40 @@ def cell_render_svg(model, spec: L.RenderSpec | None = None) -> str:
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+# --- dataclass twins of the value types ----------------------------------------------
+
+# Each value type's fields, in order, as its frozen dataclass declared them,
+# (name, default) where there was a default.  ``Peak`` was the one ordered
+# dataclass and ``cli.Result`` the one mutable (so unhashable) one.
+VALUE_FIELDS = {
+    L.Peak: ["tb", "r"],
+    L.Valley: ["tb", "r", "left", "right"],
+    L.SimpleClass: ["knot_id", "tb", "r"],
+    L.Violation: ["code", "message"],
+    L.ValidationReport: ["knot_id", "violations"],
+    L.Membership: ["contains", "peak_indices"],
+    L.MountainRange: ["knot_id", "peaks", ("genus", None), ("prime", True)],
+    L.Summand: ["knot_id", "count"],
+    L.SumSpec: ["summands", "ranges"],
+    L.TupleClass: ["factors"],
+    L.Edge: ["parent", "sign", "child"],
+    L.DichotomyVerdict: ["point", "fiber_size", "case"],
+    L.NonsimpleReport: ["tb_min", "top_tb", "nonsimple", "nmax"],
+    L.CriterionVerdict: ["simple", "matched_case", "peak_counts"],
+    L.WitnessPair: ["point", "tuple_a", "tuple_b"],
+    L.WindowVerdict: ["simple_in_window", "tb_min", "top_tb", "witness"],
+    L.CanonicalForm: ["a", "b", "p", "q"],
+    L.XYInvariants: ["x", "y"],
+    L.PathLetter: ["epsilon", ("eta", 1)],
+    L.PathWord: [("letters", ())],
+    L.RenderSpec: [("format", "ascii"), ("tb_min", None)],
+    cli.Result: ["payload", "text", ("figure", None), ("code", 0), ("document", None)],
+}
+
+
+def dataclass_twin(cls: type) -> type:
+    """A dataclass of the same name and fields as the value type ``cls`` had."""
+    fields = [f if isinstance(f, str) else (f[0], object, field(default=f[1])) for f in VALUE_FIELDS[cls]]
+    return make_dataclass(cls.__name__, fields, frozen=cls is not cli.Result, order=cls is L.Peak)
