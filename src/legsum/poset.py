@@ -148,20 +148,7 @@ class Edge(Value):
     __slots__ = __match_args__ = ("parent", "sign", "child")
 
     def __init__(self, parent: str, sign: str, child: str) -> None:
-        _set_parent(self, parent)
-        _set_sign(self, sign)
-        _set_child(self, child)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parent, self.sign, self.child) == (other.parent, other.sign, other.child)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.sign, self.child))
-
-
-_set_parent, _set_sign, _set_child = setters(Edge)
+        init(self, parent, sign, child)
 
 
 class QuotientPoset:

@@ -60,24 +60,12 @@ class Peak(Value):
     __slots__ = __match_args__ = ("tb", "r")
 
     def __init__(self, tb: int, r: int) -> None:
-        _set_peak_tb(self, tb)
-        _set_peak_r(self, r)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.tb, self.r) == (other.tb, other.r)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.tb, self.r))
+        init(self, tb, r)
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.tb, self.r) < (other.tb, other.r)
         return NotImplemented
-
-
-_set_peak_tb, _set_peak_r = setters(Peak)
 
 
 class Valley(Value):

@@ -528,10 +528,8 @@ class _Generators:
                     c = cells.get(r_i) or make(rng, row, tb_i, r_i)
                     yield from self._walk(i + 1, rest, q - r_i, f"{head}{c}|" if text else head + (c,), tb_i, r_i, text)
                 continue
-            # The last position is (rest, q - r_i), kept after this one's
-            # factor within a summand; its row's texts answer membership.
-            if last_follows and rest > tb_i:
-                continue
+            # The last position is (rest, q - r_i); its row's texts answer
+            # membership.  Within a summand the loop bound keeps rest <= tb_i.
             tie = last_follows and rest == tb_i
             last_row = last_rows.get(rest) or row_of(last_rng, last_rows, rest)
             last_texts, last_cells = last_row[1], last_row[cell_at]

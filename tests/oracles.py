@@ -8,6 +8,8 @@ algorithm than the library uses:
 * fiber classes via union-find over *ordered* factor tuples using only the
   adjacent-position generators (stabilization transfer between neighboring
   slots, transposition of neighboring equal-knot slots);
+* member ids via ordered tuples, each slot filled in any order and the
+  result sorted, instead of the library's canonical-order walk;
 * canonical forms via direct enumeration of every (a, b, p, q)
   representation of a point;
 * quotient windows via union-find over every canonical tuple under the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, make_dataclass
 
 import legsum as L
@@ -93,25 +96,23 @@ class _DSU:
             self.parent[ra] = rb
 
 
-def ordered_fiber_classes(
+def tuples_with_budget(
     slot_knots: list[str],
     members_by_knot: dict[str, set[Point]],
     top_by_knot: dict[str, int],
     tb: int,
     r: int,
-) -> list[set[tuple[Point, ...]]]:
-    """Partition ordered tuples at a sum point into equivalence classes.
+) -> Iterator[tuple[Point, ...]]:
+    """Every ordered tuple of member points, one per slot, at the sum point (tb, r).
 
     ``slot_knots`` lists the knot id of each tuple slot (repeats allowed).
-    Only adjacent-slot moves are applied: a stabilization transfer between
-    slots i and i+1 (either direction, either sign) and a transposition of
-    slots i and i+1 when they carry the same knot.  The connected components
-    of that move graph are returned as sets of ordered point tuples.
+    Each slot scans its knot's members level by level, from its top down to
+    what the later slots' tops leave of the factor tb budget; no order is
+    imposed between slots, so equal-knot slots give every permutation.
     """
     n = len(slot_knots)
-    factor_tb = tb - (n - 1)
 
-    def tuples_with_budget(i: int, budget: int, prefix: tuple[Point, ...]):
+    def extend(i: int, budget: int, prefix: tuple[Point, ...]):
         if i == n:
             if budget == 0 and sum(pt[1] for pt in prefix) == r:
                 yield prefix
@@ -121,9 +122,28 @@ def ordered_fiber_classes(
         for tb_i in range(top_by_knot[knot], budget - rest_max - 1, -1):
             for pt in members_by_knot[knot]:
                 if pt[0] == tb_i:
-                    yield from tuples_with_budget(i + 1, budget - tb_i, prefix + (pt,))
+                    yield from extend(i + 1, budget - tb_i, prefix + (pt,))
 
-    all_tuples = list(tuples_with_budget(0, factor_tb, ()))
+    return extend(0, tb - (n - 1), ())
+
+
+def ordered_fiber_classes(
+    slot_knots: list[str],
+    members_by_knot: dict[str, set[Point]],
+    top_by_knot: dict[str, int],
+    tb: int,
+    r: int,
+) -> list[set[tuple[Point, ...]]]:
+    """Partition ordered tuples at a sum point into equivalence classes.
+
+    The tuples are those of :func:`tuples_with_budget`.  Only adjacent-slot
+    moves are applied: a stabilization transfer between slots i and i+1
+    (either direction, either sign) and a transposition of slots i and i+1
+    when they carry the same knot.  The connected components of that move
+    graph are returned as sets of ordered point tuples.
+    """
+    n = len(slot_knots)
+    all_tuples = list(tuples_with_budget(slot_knots, members_by_knot, top_by_knot, tb, r))
     dsu = _DSU(all_tuples)
     universe = set(all_tuples)
 

@@ -183,6 +183,22 @@ def test_domain_errors_exit_1(capsys):
         assert out == "", argv
 
 
+def test_canonical_and_xy_need_both_point_coordinates(capsys):
+    for command in ("canonical", "xy"):
+        for point in ([], ["--tb", "1"], ["--r", "0"]):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--spec", "A:2", *point])
+            assert err.value.code == 2
+            cap = capsys.readouterr()
+            assert cap.out == "" and cap.err.endswith("error: --tb and --r are required here\n"), (command, point)
+
+
+def test_path_search_needs_two_summands_of_count_one(capsys):
+    rc, out, err = run(capsys, "path-search", "--spec", "A:2", "--start=0,2;0,-2", "--end=0,2;0,-2")
+    assert (rc, out) == (1, "")
+    assert err == "error: path-search needs a spec with exactly two summands of count 1\n"
+
+
 @pytest.mark.parametrize("data, needle", UNPARSABLE_JSON)
 def test_documents_too_deep_or_long_to_parse_exit_1(capsys, tmp_path, data, needle):
     doc = tmp_path / "big.json"

@@ -153,6 +153,25 @@ def test_realize_rejects_unknown_model():
         L.realize(L.parse_word("+"), object(), (0, 0))
 
 
+def test_realize_on_poset_starts_from_the_class_of_a_member_tuple(b2):
+    spec, poset = b2
+    node = next(n for n in poset if len(n.members) > 1)
+    member = node.members[-1]
+    assert member != node.representative
+    assert L.realize(L.parse_word("0"), poset, member) == frozenset({node.key})
+    assert L.realize(L.parse_word("+"), poset, member) == L.realize(L.parse_word("+"), poset, node)
+
+
+def test_realize_on_poset_rejects_a_tuple_outside_the_window(b2):
+    spec, poset = b2
+    B = spec.ranges[0]
+    deep = L.canonicalize_tuple(spec, [B.point(-3, 1), B.point(-3, -1)])
+    assert deep.invariants()[0] < poset.tb_min
+    with pytest.raises(KeyError) as exc:
+        L.realize(L.parse_word("+"), poset, deep)
+    assert exc.value.args == ("tuple B(-3,-1)|B(-3,1) is not in the window",)
+
+
 # --- multipath checking ------------------------------------------------------------
 
 
@@ -171,6 +190,36 @@ def test_multipath_rejects_mixed_level(A):
     start = L.canonicalize_tuple(spec, [A.point(-1, -1), A.point(-1, 1)])
     words = [PathWord((PathLetter("+", -1),)), PathWord((PathLetter("-", 1),))]
     assert not L.check_multipath(spec, words, start, start)
+
+
+def test_multipath_rejects_levels_of_other_than_two_moves(A):
+    idle = PathWord((PathLetter("0", 1),))
+    two = L.SumSpec.of([(A, 2)])
+    t = L.canonicalize_tuple(two, [A.point(0, -2), A.point(0, 2)])
+    assert not L.check_multipath(two, [idle, idle], t, t)
+    three = L.SumSpec.of([(A, 3)])
+    start = L.canonicalize_tuple(three, [A.point(-1, -1), A.point(-1, 1), A.point(-1, 3)])
+    down, up = PathWord((PathLetter("+", 1),)), PathWord((PathLetter("+", -1),))
+    assert not L.check_multipath(three, [down, up, down], start, start)
+
+
+def test_multipath_rejects_words_that_do_not_land(A, B):
+    spec = L.SumSpec.of([(A, 1), (B, 1)])
+    start = L.canonicalize_tuple(spec, [A.point(0, 2), B.point(-1, 1)])
+    # A(0,2) is a peak: its S+^-1 lands nowhere
+    words = [PathWord((PathLetter("+", -1),)), PathWord((PathLetter("+", 1),))]
+    assert L.realize(words[0], A, start.factors[0]) == frozenset()
+    assert not L.check_multipath(spec, words, start, start)
+
+
+def test_multipath_rejects_an_end_with_another_knot_at_a_position(A, B):
+    spec = L.SumSpec.of([(A, 1), (B, 1)])
+    a, b = A.point(0, 2), B.point(-1, 1)
+    start = L.canonicalize_tuple(spec, [a, b])
+    # The same factors in swapped positions: each word lands on its own
+    # factor, whose knot is not the end's at that position.
+    swapped = L.TupleClass((b, a))
+    assert not L.check_multipath(spec, [PathWord(()), PathWord(())], start, swapped)
 
 
 def test_multipath_empty_words(A):

@@ -186,6 +186,20 @@ def test_nmax_negative_control_flags_violation():
     assert len(L.structure_violations(fx)) == 3
 
 
+def test_nmax_flags_a_two_class_point_missing_an_upper_neighbor():
+    # both classes at (0, 0) have their parent at (1, -1); with no point at
+    # (1, 1) the fiber is no image valley, which no real quotient can produce
+    fx = fixture_poset(
+        [("p", 1, -1), ("n1", 0, 0), ("n2", 0, 0)],
+        [("p", "+", "n1"), ("p", "+", "n2")],
+        tb_min=0,
+        top_tb=1,
+    )
+    assert (fx.fiber_size(1, -1), fx.fiber_size(1, 1)) == (1, 0)
+    assert L.find_nmax(fx) == [(0, 0)]
+    assert L.check_nmax_dichotomy(fx) == [L.DichotomyVerdict((0, 0), 2, "violation")]
+
+
 def test_nmax_valley_guard_requires_global_top():
     fx = fixture_poset(
         [("q1", 0, -1), ("q2", 0, 1), ("m1", -1, 0), ("m2", -1, 0)],

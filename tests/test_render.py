@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,6 +25,16 @@ GOLDEN_B2_ASCII = (
 def assert_draws_like_cells(model, spec: L.RenderSpec | None = None) -> None:
     assert L.render_ascii(model, spec) == cell_render_ascii(model, spec)
     assert L.render_svg(model, spec) == cell_render_svg(model, spec)
+
+
+def test_render_spec_rejects_other_formats():
+    with pytest.raises(ValueError, match="^format must be 'ascii' or 'svg', got 'png'$"):
+        L.RenderSpec("png")
+
+
+def test_render_rejects_other_models():
+    with pytest.raises(TypeError, match="^cannot render object$"):
+        L.render(object(), L.RenderSpec())
 
 
 def test_ranges_draw_like_cells(cat):

@@ -198,6 +198,11 @@ def test_xy_frozen(A):
         L.xy_invariants(A, 2, 1, 1)
 
 
+def test_xy_needs_at_least_one_copy(A):
+    with pytest.raises(L.LegsumError, match="^n must be at least 1, got 0$"):
+        L.xy_invariants(A, 0, 0, 0)
+
+
 def test_equal_point_representations_share_xy(A):
     # (-3, 0) for n=2 admits three representations; all carry X = Y = 0
     reps = form_representations([(-0, -2), (0, 2)], 2, -3, 0)

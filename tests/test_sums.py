@@ -21,7 +21,7 @@ from legsum import cli, simplicity, sums
 from legsum.cli import main
 
 from conftest import make_grid_specs, random_sums, wide_step_sums
-from oracles import bfs_members, fiber_signatures, peak_multisets, point_window, relation_neighbors, relation_window, valley_depth_classes
+from oracles import bfs_members, canonical_signature, fiber_signatures, peak_multisets, point_window, relation_neighbors, relation_window, tuples_with_budget, valley_depth_classes
 
 
 def fiber_as_signatures(classes: list[L.PosetNode]) -> set[frozenset[str]]:
@@ -890,6 +890,39 @@ def test_ids_match_tuples_on_powers_and_long_sums(A, B, Aprime):
     for n in range(1, 9):
         assert_ids_match_tuples(L.SumSpec.of([(B, n)]), 4)
     assert_ids_match_tuples(L.SumSpec.of([(A, 3), (B, 3), (Aprime, 3)]), 4)
+
+
+def assert_id_walk_matches_brute_force(spec: L.SumSpec, depth: int) -> None:
+    """Check the id walk at every point of a window and beside its rows against :func:`tuples_with_budget`.
+
+    The enumerator fills slots in any order; the walk must list each
+    canonical id it finds once, in :meth:`TupleClass.sort_key` order.
+    """
+    slot_knots = [s.knot_id for s in spec.summands for _ in range(s.count)]
+    tops = {rng.knot_id: rng.top_tb for rng in spec.ranges}
+    factor_tb_min = spec.top_tb - depth - (spec.n - 1)
+    members = {
+        rng.knot_id: bfs_members(
+            [(p.tb, p.r) for p in rng.peaks],
+            factor_tb_min - sum(tops[k] for k in slot_knots) + rng.top_tb,
+        )
+        for rng in spec.ranges
+    }
+    gens = sums._Generators(spec)
+    for tb in range(spec.top_tb, spec.top_tb - depth - 1, -1):
+        row = gens.level_points(tb)
+        for r in range(row[0] - 2, row[-1] + 3):
+            found = {}
+            for t in tuples_with_budget(slot_knots, members, tops, tb, r):
+                factors = [L.SimpleClass(k, *pt) for k, pt in zip(slot_knots, t)]
+                found[canonical_signature(slot_knots, t)] = L.canonicalize_tuple(spec, factors).sort_key()
+            assert list(gens.walk(tb, r, True)) == sorted(found, key=found.get), (spec.label(), tb, r)
+
+
+def test_id_walk_matches_brute_force_on_grid_and_a_power(grid_specs, B):
+    for spec in grid_specs:
+        assert_id_walk_matches_brute_force(spec, 3)
+    assert_id_walk_matches_brute_force(L.SumSpec.of([(B, 4)]), 3)
 
 
 @pytest.mark.parametrize("spec, tb, r", [("B,Aprime", -11, -4), ("A,B", -10, 3), ("A:2,B", -8, 0), ("A", -3, 1)])
