@@ -675,6 +675,23 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)
 
 
+def _nonsimple_floor(spec: SumSpec, floor: int) -> int:
+    """The highest level from the top down to ``floor`` that holds a point of several classes, or ``floor`` if none does.
+
+    The box is read by arithmetic, with no level row: at level tb its
+    points of the sum's parity have U_min - tb < r < tb - V_min, and each
+    is read by :meth:`_Generators.components`, which finds none at a point
+    outside the sum.
+    """
+    gens = _Generators(spec)
+    for tb in range(spec.top_tb, floor - 1, -1):
+        lo = gens.U_min - tb + 1
+        lo += (tb + lo + gens._parity) % 2
+        if any(len(set(gens.components(tb, r).values())) > 1 for r in range(lo, tb - gens.V_min, 2)):
+            return tb
+    return floor
+
+
 def _box_report(spec: SumSpec, tb_min: int) -> NonsimpleReport:
     """``nonsimple_report(build_quotient(spec, tb_min))``, read off the class graph of the box with no window.
 

@@ -21,6 +21,8 @@ algorithm than the library uses:
   summed copy by copy, instead of count vectors summed peak by peak;
 * window assembly point by point, each class placed and found by a
   ``(tb, r, root)`` key, instead of a level row at a time;
+* window verdicts read from the whole window down to the box floor,
+  instead of a window built only down to the first nonsimple row;
 * figures drawn from per-kind cells, one builder for ranges and one for
   windows, instead of one mark grid;
 * each value type's repr, equality, hash, ordering and immutability from a
@@ -406,6 +408,24 @@ def point_window(spec: L.SumSpec, tb_min: int) -> L.QuotientPoset:
             child = (node.tb - 1, node.r + step)
             kids.append([where[(*child, gens.components(*child)[root] if gens.boxed(*child) else None)]])
     return L.QuotientPoset(nodes, steps, tb_min, spec.top_tb, top_is_global=True)
+
+
+# --- window verdicts from the whole window --------------------------------------------
+
+
+def full_window_verdict(spec: L.SumSpec, tb_min: int) -> L.WindowVerdict:
+    """:func:`legsum.simplicity_in_window` read from the window built down to ``max(tb_min, F0)``.
+
+    This is the library's earlier verdict: no criterion and no box scan
+    choose the window's floor.
+    """
+    poset = L.build_quotient(spec, max(tb_min, sums._box_floor(spec)))
+    candidates = L.find_nmax(poset)
+    if not candidates:
+        return L.WindowVerdict(True, tb_min, poset.top_tb, None)
+    pt = candidates[0]
+    first, second = poset.fiber(*pt)[:2]
+    return L.WindowVerdict(False, tb_min, poset.top_tb, L.WitnessPair(pt, first.representative, second.representative))
 
 
 # --- figures drawn from per-kind cells -----------------------------------------------

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legsum as L
+from legsum import simplicity, sums
 from legsum.simplicity import (
     CASE_BIG_PEAK,
     CASE_NONE,
@@ -12,8 +13,8 @@ from legsum.simplicity import (
     CASE_TWO_PEAK,
 )
 
-from conftest import random_sums, wide_step_sums
-from oracles import form_representations
+from conftest import make_grid_specs, random_sums, wide_step_sums
+from oracles import form_representations, full_window_verdict
 
 
 # --- the shape criterion ---------------------------------------------------------
@@ -78,6 +79,71 @@ def test_window_workers_agree(B):
     assert L.simplicity_in_window(spec, -2, workers=2) == L.simplicity_in_window(
         spec, -2
     )
+
+
+# --- verdicts built down to the first nonsimple row ---------------------------------
+
+
+def assert_verdict_matches_the_full_window(spec: L.SumSpec, tb_min: int) -> None:
+    assert L.simplicity_in_window(spec, tb_min) == full_window_verdict(spec, tb_min), (spec.label(), tb_min)
+
+
+def test_verdicts_match_the_full_window_on_grid(cat):
+    specs = make_grid_specs(cat, 4)
+    assert len(specs) == 125
+    for spec in specs:
+        for depth in (0, 1, 3, 8, 12):
+            assert_verdict_matches_the_full_window(spec, spec.top_tb - depth)
+
+
+@given(st.one_of(random_sums(), wide_step_sums()), st.integers(0, 16))
+def test_verdicts_match_the_full_window_on_random_ranges(spec, depth):
+    assert_verdict_matches_the_full_window(spec, spec.top_tb - depth)
+
+
+def test_verdicts_match_the_full_window_on_powers(B):
+    for n in range(1, 8):
+        spec = L.SumSpec.of([(B, n)])
+        for depth in (0, 2):
+            assert_verdict_matches_the_full_window(spec, spec.top_tb - depth)
+
+
+def test_verdicts_do_not_rest_on_the_criterion(monkeypatch, cat):
+    specs = make_grid_specs(cat, 4)
+    want = [L.simplicity_in_window(spec, spec.top_tb - depth) for spec in specs for depth in (0, 3, 8)]
+    real = simplicity.criterion
+    flipped = []
+
+    def opposite(spec: L.SumSpec) -> L.CriterionVerdict:
+        flipped.append(spec)
+        return L.CriterionVerdict(not real(spec).simple, CASE_NONE, ())
+
+    monkeypatch.setattr(simplicity, "criterion", opposite)
+    assert [L.simplicity_in_window(spec, spec.top_tb - depth) for spec in specs for depth in (0, 3, 8)] == want
+    assert len(flipped) == len(want)
+
+
+# --- the theorem, checked on the whole box ---------------------------------------
+
+
+def assert_criterion_is_the_box_verdict(spec: L.SumSpec) -> None:
+    """Check the criterion against the box scan down to F0, under which every point is simple, and the dichotomy at each maximal point."""
+    report = sums._box_report(spec, sums._box_floor(spec))
+    assert L.criterion(spec).simple == report.simple, spec.label()
+    assert all(v.case in ("case1", "case2") for v in report.nmax), (spec.label(), report.nmax)
+
+
+def test_criterion_is_the_box_verdict_on_the_catalog(cat):
+    specs = make_grid_specs(cat, 5)
+    assert len(specs) == 251
+    for spec in specs:
+        assert_criterion_is_the_box_verdict(spec)
+
+
+@settings(max_examples=200)
+@given(st.one_of(random_sums(max_n=6), wide_step_sums(max_n=5)))
+def test_criterion_is_the_box_verdict_on_random_ranges(spec):
+    assert_criterion_is_the_box_verdict(spec)
 
 
 # --- explicit witnesses -------------------------------------------------------------

@@ -588,7 +588,9 @@ def test_verdicts_and_figures_list_only_multi_class_points(monkeypatch, A, B):
         window = L.build_quotient(spec, spec.top_tb - depth)
         multi = {pt for pt in window.points() if len(window.fiber(*pt)) > 1}
         assert multi and collections.Counter(walked) == dict.fromkeys(multi, 1)
-        # The verdict builds its own window; the analyses of this one walk nothing.
+        # The verdict builds its own window down to its first nonsimple row,
+        # so it walks that row's multi-class points; the analyses of this
+        # window walk nothing.
         walked.clear()
         verdict = L.simplicity_in_window(spec, window.tb_min)
         assert not verdict.simple_in_window
@@ -596,7 +598,8 @@ def test_verdicts_and_figures_list_only_multi_class_points(monkeypatch, A, B):
         assert not L.nonsimple_report(window).simple
         assert L.detect_valleys(window)
         assert L.render_svg(window).startswith("<svg")
-        assert collections.Counter(walked) == dict.fromkeys(multi, 1)
+        first_row = max(tb for tb, _r in multi)
+        assert collections.Counter(walked) == {pt: 1 for pt in multi if pt[0] == first_row}
 
         walked.clear()
         for node in window:
@@ -712,6 +715,23 @@ def test_deep_verdicts_build_only_down_to_the_box_floor(monkeypatch, capsys, A, 
     spec = L.SumSpec.of([(A, 1)])
     assert 0 < len(rows) <= spec.top_tb - sums._box_floor(spec) + 1
     assert f"\ntb_min\t{spec.top_tb - 2000}\n" in capsys.readouterr().out
+
+
+def test_deep_verdicts_build_only_down_to_the_first_nonsimple_row(monkeypatch, A, B, Aprime):
+    spec = L.SumSpec.of([(A, 4), (B, 4), (Aprime, 4)])
+    floors = []
+    build = simplicity.build_quotient
+
+    def recorded(spec, tb_min, **kwargs):
+        floors.append(tb_min)
+        return build(spec, tb_min, **kwargs)
+
+    monkeypatch.setattr(simplicity, "build_quotient", recorded)
+    verdict = L.simplicity_in_window(spec, spec.top_tb - 100)
+    f0 = sums._box_floor(spec)
+    first = sums._box_report(spec, f0).nonsimple[0][0]
+    assert floors == [first[0]] and first[0] > f0
+    assert verdict.witness.point == first and verdict.tb_min == spec.top_tb - 100
 
 
 def assert_box_report_matches_the_window(spec: L.SumSpec, tb_min: int) -> None:
