@@ -350,8 +350,9 @@ def cmd_nmax(args, parser) -> Result:
     spec = _load_spec(args, parser)
     # Read off the box, with no window: every nonsimple point and all of its
     # ancestors are boxed, and the classes there are the components of
-    # their generator joins (see sums._box_report).  No class is named, so
-    # no tuple is walked.
+    # their generator joins.  sums._box_report collects the box scan that
+    # `simple` stops at its first point.  No class is named, so no tuple is
+    # walked.
     report = _box_report(spec, _window_floor(args, spec.top_tb))
     payload = {"spec": spec.label(), **to_jsonable(report)}
     rows = [["spec", spec.label()], ["tb_min", report.tb_min], ["simple", str(report.simple).lower()]]

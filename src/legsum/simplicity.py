@@ -27,9 +27,9 @@ import math
 
 from ._values import Value, init
 from .errors import LegsumError, NotApplicable, WrongPeakCount
-from .poset import find_nmax
+from .poset import nonsimple_points
 from .ranges import NEG, POS, MountainRange, SimpleClass
-from .sums import SumSpec, TupleClass, _box_floor, _nonsimple_floor, build_quotient, canonicalize_tuple
+from .sums import SumSpec, TupleClass, _box_floor, _box_scan, build_quotient, canonicalize_tuple
 
 CASE_ONE_PEAK = "all-one-peak"
 CASE_TWO_PEAK = "one-two-peak-with-multiplicity>=2"
@@ -93,28 +93,25 @@ def simplicity_in_window(spec: SumSpec, tb_min: int, workers: int = 0) -> Window
     """Check fiber sizes across the window, built only as deep as the verdict needs.
 
     Every point at or below the box floor F0 = (U_min + V_min) // 2 has one
-    class (see :class:`legsum.sums._Generators`), and a maximal nonsimple
-    point is read from the rows above it, so the window goes at most down
-    to ``max(tb_min, F0)``; the verdict still names the caller's ``tb_min``.
-    When :func:`criterion` says nonsimple, the box is first scanned from the
-    top row down by its generator components, and the window is built only
-    down to the first row that holds a point of several classes, or to
-    ``max(tb_min, F0)`` if none does.  The verdict is still read from the
-    built window, so it never rests on the criterion.  The first nonsimple
-    point in window order is maximal: no row above holds a nonsimple point,
-    and its own row holds none of its ancestors.  So when some point
-    carries two classes, the reported witness sits at a maximal nonsimple
-    point (every strict ancestor class is alone at its point), the same as
-    in the full window, and names the first two class representatives there.
+    class (see :class:`legsum.sums._Generators`), so the window goes at most
+    down to ``max(tb_min, F0)``; the verdict still names the caller's
+    ``tb_min``.  When :func:`criterion` says nonsimple, the window stops at
+    the row of the first nonsimple point that the box scan
+    (:func:`legsum.sums._box_scan`) finds.  The verdict is still read from
+    the built window, so it never rests on the criterion: its witness sits
+    at the window's first point of several classes, which is maximal, and
+    names the first two class representatives there.
     """
     floor = max(tb_min, _box_floor(spec))
     if not criterion(spec).simple:
-        floor = _nonsimple_floor(spec, floor)
+        found = next(_box_scan(spec, floor), None)
+        if found:
+            floor = found[0][0]
     poset = build_quotient(spec, floor, workers=workers)
-    candidates = find_nmax(poset)
-    if not candidates:
+    crowded = nonsimple_points(poset)
+    if not crowded:
         return WindowVerdict(True, tb_min, poset.top_tb, None)
-    pt = candidates[0]
+    pt = crowded[0][0]
     first, second = poset.fiber(*pt)[:2]
     witness = WitnessPair(pt, first.representative, second.representative)
     return WindowVerdict(False, tb_min, poset.top_tb, witness)

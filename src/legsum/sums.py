@@ -313,7 +313,7 @@ class _Generators:
     ancestors are boxed, since u and v never fall going up.  So every
     nonsimple point, every class above one, and the points (tb + 1, r +- 1)
     and (tb + 2, r) that the dichotomy of a maximal one reads all lie in
-    the box, and :func:`_box_report` reads that analysis off the boxed
+    the box, and :func:`_box_scan` reads that analysis off the boxed
     points' components, with no window and no tuple.
     """
 
@@ -675,45 +675,26 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)
 
 
-def _nonsimple_floor(spec: SumSpec, floor: int) -> int:
-    """The highest level from the top down to ``floor`` that holds a point of several classes, or ``floor`` if none does.
+def _box_scan(spec: SumSpec, tb_min: int) -> Iterator[tuple[tuple[int, int], int, str | None]]:
+    """Each nonsimple point from the top row down to ``max(tb_min, F0)``, with its class count and, if it is maximal, its case.
 
-    The box is read by arithmetic, with no level row: at level tb its
-    points of the sum's parity have U_min - tb < r < tb - V_min, and each
-    is read by :meth:`_Generators.components`, which finds none at a point
-    outside the sum.
-    """
-    gens = _Generators(spec)
-    for tb in range(spec.top_tb, floor - 1, -1):
-        lo = gens.U_min - tb + 1
-        lo += (tb + lo + gens._parity) % 2
-        if any(len(set(gens.components(tb, r).values())) > 1 for r in range(lo, tb - gens.V_min, 2)):
-            return tb
-    return floor
-
-
-def _box_report(spec: SumSpec, tb_min: int) -> NonsimpleReport:
-    """``nonsimple_report(build_quotient(spec, tb_min))``, read off the class graph of the box with no window.
-
-    Only the boxed points of the rows from the top down to ``max(tb_min,
-    F0)`` are visited, cut as in :func:`build_quotient`, and each by
-    :meth:`_Generators.components`; see :class:`_Generators` for why that
-    is exact.  A class is marked when it sits at a nonsimple point or below
-    a marked class, and a nonsimple point is maximal when no class there is
-    below a marked one.  A maximal point is case1 when some class there has
-    no parent, case2 when it has two classes, both upper neighbours and no
+    Only the boxed points of those rows are read, cut as in
+    :func:`build_quotient`, each by :meth:`_Generators.components`; see
+    :class:`_Generators` for why that is exact.  Points come in window
+    order, each as soon as it is read, so a caller that stops reads no
+    later point.  A class is marked when it sits at a nonsimple point or
+    below a marked class, and a nonsimple point is maximal when no class
+    there is below a marked one.  So the first point yielded is maximal: no
+    row above holds a nonsimple point, and its own row holds none of its
+    ancestors.  A maximal point is case1 when some class there has no
+    parent, case2 when it has two classes, both upper neighbours and no
     point (tb + 2, r) at or under the top, and a violation otherwise.
     """
-    top = spec.top_tb
-    if tb_min > top:
-        raise WindowEmpty(f"window floor {tb_min} lies above the top level {top}")
     gens = _Generators(spec)
-    nonsimple: list[tuple[tuple[int, int], int]] = []
-    nmax: list[DichotomyVerdict] = []
     above: dict[int, dict[Generator, Generator]] = {}  # components of each boxed point of the row above, by r
     two_above: dict[int, dict[Generator, Generator]] = {}
     marked_above: dict[int, set[Generator]] = {}  # marked roots of the row above, by r
-    for tb in range(top, max(tb_min, _box_floor(spec)) - 1, -1):
+    for tb in range(spec.top_tb, max(tb_min, _box_floor(spec)) - 1, -1):
         row, lo, hi = gens.boxed_run(tb)
         here: dict[int, dict[Generator, Generator]] = {}
         marked: dict[int, set[Generator]] = {}
@@ -722,19 +703,31 @@ def _box_report(spec: SumSpec, tb_min: int) -> NonsimpleReport:
             roots = set(components.values())
             below = {components[g] for q in (r - 1, r + 1) for g in marked_above.get(q, ())}
             if len(roots) > 1:
-                nonsimple.append(((tb, r), len(roots)))
                 marked[r] = roots
-                if below:
-                    continue
-                uppers = [above[q] for q in (r - 1, r + 1) if q in above]
-                if roots - {components[g] for upper in uppers for g in upper.values()}:
-                    case = "case1"
-                elif len(roots) == 2 and len(uppers) == 2 and r not in two_above:
-                    case = "case2"
-                else:
-                    case = "violation"
-                nmax.append(DichotomyVerdict((tb, r), len(roots), case))
+                case = None
+                if not below:
+                    uppers = [above[q] for q in (r - 1, r + 1) if q in above]
+                    if roots - {components[g] for upper in uppers for g in upper.values()}:
+                        case = "case1"
+                    elif len(roots) == 2 and len(uppers) == 2 and r not in two_above:
+                        case = "case2"
+                    else:
+                        case = "violation"
+                yield (tb, r), len(roots), case
             elif below:
                 marked[r] = below
         two_above, above, marked_above = above, here, marked
-    return NonsimpleReport(tb_min=tb_min, top_tb=top, nonsimple=tuple(nonsimple), nmax=tuple(nmax))
+
+
+def _box_report(spec: SumSpec, tb_min: int) -> NonsimpleReport:
+    """``nonsimple_report(build_quotient(spec, tb_min))``, collected from :func:`_box_scan` with no window."""
+    top = spec.top_tb
+    if tb_min > top:
+        raise WindowEmpty(f"window floor {tb_min} lies above the top level {top}")
+    points = list(_box_scan(spec, tb_min))
+    return NonsimpleReport(
+        tb_min=tb_min,
+        top_tb=top,
+        nonsimple=tuple((pt, size) for pt, size, _case in points),
+        nmax=tuple(DichotomyVerdict(pt, size, case) for pt, size, case in points if case),
+    )

@@ -709,12 +709,15 @@ def test_clamped_verdicts_match_deeper_windows_on_random_ranges(spec, below):
 
 
 @pytest.mark.parametrize("command", ["simple", "nmax"])
-def test_deep_verdicts_build_only_down_to_the_box_floor(monkeypatch, capsys, A, command):
+def test_deep_verdicts_build_only_down_to_the_box_floor(monkeypatch, capsys, A, B, command):
+    # A is simple.  B:2 is not (top 1, F0 -7, first nonsimple row 1), so
+    # `simple` scans its box before it builds the window.
     rows = record_calls(monkeypatch, sums._Generators, "level_points")
-    assert main([command, "--spec", "A", "--depth", "2000"]) == 0
-    spec = L.SumSpec.of([(A, 1)])
-    assert 0 < len(rows) <= spec.top_tb - sums._box_floor(spec) + 1
-    assert f"\ntb_min\t{spec.top_tb - 2000}\n" in capsys.readouterr().out
+    for arg, spec in (("A", L.SumSpec.of([(A, 1)])), ("B:2", L.SumSpec.of([(B, 2)]))):
+        rows.clear()
+        assert main([command, "--spec", arg, "--depth", "2000"]) == 0
+        assert 0 < len(rows) <= spec.top_tb - sums._box_floor(spec) + 1, arg
+        assert f"\ntb_min\t{spec.top_tb - 2000}\n" in capsys.readouterr().out
 
 
 def test_deep_verdicts_build_only_down_to_the_first_nonsimple_row(monkeypatch, A, B, Aprime):
@@ -732,6 +735,21 @@ def test_deep_verdicts_build_only_down_to_the_first_nonsimple_row(monkeypatch, A
     first = sums._box_report(spec, f0).nonsimple[0][0]
     assert floors == [first[0]] and first[0] > f0
     assert verdict.witness.point == first and verdict.tb_min == spec.top_tb - 100
+
+
+@pytest.mark.parametrize("parts, first", [
+    ((("A", 4), ("B", 4), ("Aprime", 4)), ((11, -20), 3, "case1")),
+    ((("B", 60),), ((59, -232), 2, "case1")),
+], ids=["A:4,B:4,Aprime:4", "B:60"])
+def test_box_scan_stops_at_its_first_nonsimple_point(monkeypatch, cat, parts, first):
+    spec = L.SumSpec.of([(cat[knot], count) for knot, count in parts])
+    f0 = sums._box_floor(spec)
+    read = record_calls(monkeypatch, sums._Generators, "components", lambda gens, tb, r: (tb, r))
+    assert next(sums._box_scan(spec, f0)) == first
+    # The boxed points read come in window order and end at the one returned.
+    assert read == sorted(set(read), key=lambda pt: (-pt[0], pt[1])) and read[-1] == first[0]
+    report = sums._box_report(spec, first[0][0])
+    assert (report.nonsimple[0], report.nmax[0]) == (first[:2], L.DichotomyVerdict(*first))
 
 
 def assert_box_report_matches_the_window(spec: L.SumSpec, tb_min: int) -> None:
