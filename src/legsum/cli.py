@@ -18,7 +18,7 @@ from pathlib import Path
 from . import documents
 from ._values import Value
 from .documents import dump_json, to_jsonable
-from .render import ASCII, SVG, RenderSpec, placeholder, render as render_figure
+from .render import ASCII, SVG, RenderSpec, _figure
 from .errors import LegsumError, RangeInvalid
 from .paths import find_connecting_path, format_word
 from .poset import detect_valleys
@@ -363,23 +363,14 @@ def cmd_nmax(args, parser) -> Result:
 def cmd_render(args, parser) -> Result:
     fmt = args.render or ASCII
     if args.spec:
-        spec = _load_spec(args, parser)
-        tb_min = _window_floor(args, spec.top_tb)
-        if tb_min > spec.top_tb:
-            figure = placeholder(fmt)
-            label = spec.label()
-            points = 0
-        else:
-            poset = build_quotient(spec, tb_min)
-            figure = render_figure(poset, RenderSpec(fmt, tb_min))
-            label = spec.label()
-            points = len(poset.points())
+        # Drawn from the sum's level rows and its box scan, with no window.
+        model = _load_spec(args, parser)
+        label = model.label()
     else:
-        rng = _resolve_knot(_knot_arg(args, parser))
-        tb_min = _window_floor(args, rng.top_tb)
-        figure = render_figure(rng, RenderSpec(fmt, tb_min))
-        label = rng.knot_id
-        points = sum(len(rng.level_points(tb)) for tb in range(tb_min, rng.top_tb + 1))
+        model = _resolve_knot(_knot_arg(args, parser))
+        label = model.knot_id
+    tb_min = _window_floor(args, model.top_tb)
+    figure, points = _figure(model, RenderSpec(fmt, tb_min))
     payload = {"model": label, "format": fmt, "tb_min": tb_min, "points": points, "out": args.out}
     text = _rows(["model", label], ["format", fmt], ["points", points], ["out", args.out or "-"])
     return Result(payload, text, figure=figure)

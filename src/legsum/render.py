@@ -1,4 +1,4 @@
-"""Deterministic diagrams of mountain ranges and quotient windows.
+"""Deterministic diagrams of mountain ranges, connected sums and quotient windows.
 
 Axis convention: tb runs vertically (top row first), r horizontally.  Both
 formats draw one grid: each member point, in window order, with one mark.
@@ -8,16 +8,45 @@ valley, then ``o``.  ASCII prints the marks, and ``.`` at the other cells of
 a row's parity.  SVG draws them as a triangle, an inverted triangle, a
 circle or a labelled square, assembled by hand from a fixed template so
 identical inputs give identical bytes.
+
+A :class:`~legsum.sums.SumSpec` is drawn with no window: its points are the
+sum's level rows, and the fiber sizes are the class counts of the box scan
+(:func:`legsum.sums._box_scan`), since outside the box every point has one
+class.  A one-class point's mark then needs only which points are in the
+sum.  Every class at a point of the sum has one child per sign, one row
+down, so every class at an upper neighbour (tb + 1, r -+ 1) is a parent of
+the one class at (tb, r), and that class has no other parent.  Hence:
+
+* it is a peak iff neither (tb + 1, r -+ 1) is in the sum;
+* it is a valley iff tb <= top - 2 and either an upper neighbour has
+  several classes, or both are one-class and (tb + 2, r) is not in the
+  sum.  Two classes at one point never share a parent, since the parent
+  would have two children of one sign.  Two one-class upper neighbours can
+  share only a parent at (tb + 2, r), and every class there is a parent of
+  both.  With fewer than two parents there is no valley.
+
+So the marks are those that :func:`~legsum.poset.detect_peaks` and
+:func:`~legsum.poset.detect_valleys` find on the sum's window down to the
+same floor.  Those two still mark a :class:`~legsum.poset.QuotientPoset`,
+such as a hand-built window.  A sum's figure is refused with a domain
+error once its rows, added up from the top down as they are made, hold
+more than :data:`_MAX_POINTS` points.
 """
 
 from __future__ import annotations
 
 from ._values import Value, init
+from .errors import LegsumError
 from .poset import QuotientPoset, detect_peaks, detect_valleys, nonsimple_points
 from .ranges import MountainRange
+from .sums import SumSpec, _box_scan, _Generators
 
 ASCII = "ascii"
 SVG = "svg"
+
+# The most points a sum's figure may draw.  A's figure at depth 1000 draws
+# 503,502, at a peak of about 83 MiB as ASCII and 500 MiB as SVG.
+_MAX_POINTS = 1_000_000
 
 
 class RenderSpec(Value):
@@ -38,6 +67,8 @@ def _grid(model, spec: RenderSpec) -> tuple[dict[tuple[int, int], str], int, int
     any other point by ``^`` for a peak (a parentless node), ``v`` for a
     valley and ``o`` otherwise.
     """
+    if isinstance(model, SumSpec):
+        return _sum_grid(model, spec)
     if isinstance(model, MountainRange):
         top = model.top_tb
         tb_min = spec.tb_min if spec.tb_min is not None else top - 8
@@ -64,6 +95,49 @@ def _grid(model, spec: RenderSpec) -> tuple[dict[tuple[int, int], str], int, int
     return grid, top, tb_min
 
 
+def _sum_grid(sum_spec: SumSpec, spec: RenderSpec) -> tuple[dict[tuple[int, int], str], int, int]:
+    """:func:`_grid` of ``build_quotient(sum_spec, tb_min)``, read off the level rows and the box scan.
+
+    One builder makes the rows and the scan; the mark rules are in the
+    module docstring.
+    """
+    top = sum_spec.top_tb
+    tb_min = spec.tb_min if spec.tb_min is not None else top - 8
+    gens = _Generators(sum_spec)
+    rows, count = [], 0
+    for tb in range(top, tb_min - 1, -1):
+        row = gens.level_points(tb)
+        count += len(row)
+        if count > _MAX_POINTS:
+            raise LegsumError(
+                f"figure too large: its rows from tb {top} down to {tb} hold {count} points, "
+                f"more than the limit of {_MAX_POINTS}"
+            )
+        rows.append(row)
+    crowded = {pt: size for pt, size, _case in _box_scan(sum_spec, tb_min, gens)}
+    grid = {}
+    above: set[int] = set()  # the r values of the rows tb + 1 and tb + 2
+    two_above: set[int] = set()
+    for tb, row in zip(range(top, tb_min - 1, -1), rows):
+        valley_row = tb <= top - 2
+        for r in row:
+            size = crowded.get((tb, r))
+            if size:
+                grid[tb, r] = str(size) if size <= 9 else "#"
+            elif r - 1 not in above and r + 1 not in above:
+                grid[tb, r] = "^"
+            elif valley_row and (
+                (tb + 1, r - 1) in crowded
+                or (tb + 1, r + 1) in crowded
+                or (r - 1 in above and r + 1 in above and r not in two_above)
+            ):
+                grid[tb, r] = "v"
+            else:
+                grid[tb, r] = "o"
+        two_above, above = above, set(row)
+    return grid, top, tb_min
+
+
 # --- ascii ---------------------------------------------------------------------
 
 _EMPTY_ASCII = "(empty diagram)\n"
@@ -77,13 +151,11 @@ _EMPTY_SVG = (
 )
 
 
-def placeholder(format: str = ASCII) -> bytes:
-    """The empty-diagram stand-in, e.g. for windows above the top level."""
-    return (_EMPTY_SVG if format == SVG else _EMPTY_ASCII).encode("utf-8")
-
-
 def render_ascii(model, spec: RenderSpec | None = None) -> str:
-    grid, top, tb_min = _grid(model, spec or RenderSpec(ASCII))
+    return _ascii(*_grid(model, spec or RenderSpec(ASCII)))
+
+
+def _ascii(grid: dict[tuple[int, int], str], top: int, tb_min: int) -> str:
     if not grid:
         return _EMPTY_ASCII
     parity = {tb: (tb + r) % 2 for tb, r in grid}
@@ -109,7 +181,10 @@ _PAD = 40
 
 
 def render_svg(model, spec: RenderSpec | None = None) -> str:
-    grid, top, tb_min = _grid(model, spec or RenderSpec(SVG))
+    return _svg(*_grid(model, spec or RenderSpec(SVG)))
+
+
+def _svg(grid: dict[tuple[int, int], str], top: int, tb_min: int) -> str:
     if not grid:
         return _EMPTY_SVG
     r_lo, r_hi = min(r for _tb, r in grid), max(r for _tb, r in grid)
@@ -163,8 +238,13 @@ def render_svg(model, spec: RenderSpec | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
+def _figure(model, spec: RenderSpec) -> tuple[bytes, int]:
+    """:func:`render`'s bytes, and the number of points the figure draws."""
+    grid, top, tb_min = _grid(model, spec)
+    draw = _svg if spec.format == SVG else _ascii
+    return draw(grid, top, tb_min).encode("utf-8"), len(grid)
+
+
 def render(model, spec: RenderSpec) -> bytes:
-    """Draw a range or quotient window in the requested format."""
-    if spec.format == SVG:
-        return render_svg(model, spec).encode("utf-8")
-    return render_ascii(model, spec).encode("utf-8")
+    """Draw a range, a sum or a quotient window in the requested format."""
+    return _figure(model, spec)[0]

@@ -675,7 +675,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)
 
 
-def _box_scan(spec: SumSpec, tb_min: int) -> Iterator[tuple[tuple[int, int], int, str | None]]:
+def _box_scan(spec: SumSpec, tb_min: int, gens: _Generators | None = None) -> Iterator[tuple[tuple[int, int], int, str | None]]:
     """Each nonsimple point from the top row down to ``max(tb_min, F0)``, with its class count and, if it is maximal, its case.
 
     Only the boxed points of those rows are read, cut as in
@@ -689,8 +689,12 @@ def _box_scan(spec: SumSpec, tb_min: int) -> Iterator[tuple[tuple[int, int], int
     ancestors.  A maximal point is case1 when some class there has no
     parent, case2 when it has two classes, both upper neighbours and no
     point (tb + 2, r) at or under the top, and a violation otherwise.
+    ``gens`` is the builder of ``spec`` to read, made here if not given;
+    a caller that reads the level rows too, as :mod:`legsum.render` does,
+    passes its own, so one builder serves both.
     """
-    gens = _Generators(spec)
+    if gens is None:
+        gens = _Generators(spec)
     above: dict[int, dict[Generator, Generator]] = {}  # components of each boxed point of the row above, by r
     two_above: dict[int, dict[Generator, Generator]] = {}
     marked_above: dict[int, set[Generator]] = {}  # marked roots of the row above, by r

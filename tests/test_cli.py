@@ -618,6 +618,38 @@ def test_render_deterministic(capsys, tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_render_summary_counts_the_window_points(capsys, tmp_path, grid_specs):
+    target = tmp_path / "w.txt"
+    for spec in grid_specs:
+        arg = ",".join(f"{s.knot_id}:{s.count}" for s in spec.summands)
+        for depth in (0, 3, 8):
+            rc, out, _ = run(capsys, "render", "--spec", arg, "--depth", str(depth), "--out", str(target))
+            points = len(legsum.build_quotient(spec, spec.top_tb - depth).points())
+            assert (rc, out.splitlines()[2]) == (0, f"points\t{points}"), (arg, depth)
+
+
+def test_render_refuses_a_figure_over_the_point_limit(capsys, monkeypatch):
+    render_module = sys.modules["legsum.render"]
+    made = []
+    level_points = legsum.sums._Generators.level_points
+    monkeypatch.setattr(legsum.sums._Generators, "level_points", lambda gens, tb: made.append(tb) or level_points(gens, tb))
+    # A's rows from its top 0 down hold 2, 4 and 5 points: 11 > 10 at the third.
+    monkeypatch.setattr(render_module, "_MAX_POINTS", 10)
+    rc, out, err = run(capsys, "render", "--spec", "A", "--depth", "100000", "--render", "svg")
+    assert (rc, out) == (1, "")
+    assert err == "error: figure too large: its rows from tb 0 down to -2 hold 11 points, more than the limit of 10\n"
+    assert made == [0, -1, -2]
+    rc, out, _ = run(capsys, "render", "--spec", "A", "--depth", "1", "--out", os.devnull)
+    assert (rc, out.splitlines()[2]) == (0, "points\t6")
+    monkeypatch.undo()
+    # The limit lies above the deepest figure the CI guards draw, A at depth 1000.
+    gens = legsum.sums._Generators(legsum.SumSpec.of([(legsum.catalog()["A"], 1)]))
+    assert sum(len(gens.level_points(-depth)) for depth in range(1001)) == 503502 < render_module._MAX_POINTS
+    rc, out, err = run(capsys, "render", "--spec", "A", "--depth", "100000")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: figure too large: ") and f"the limit of {render_module._MAX_POINTS}\n" in err
+
+
 # --- shared plumbing --------------------------------------------------------------------
 
 

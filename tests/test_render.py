@@ -1,4 +1,4 @@
-"""Figures: the mark grid against the per-kind cell renderer it replaced."""
+"""Figures: the mark grid against the per-kind cell renderer it replaced, and a sum's figure against its window's."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import legsum as L
+from legsum import sums
 from legsum.cli import main
 
 from conftest import make_grid_specs, random_sums, wide_step_sums
@@ -88,6 +89,37 @@ def test_empty_window_draws_like_cells():
 @given(st.one_of(random_sums(), wide_step_sums()), st.integers(0, 10))
 def test_random_windows_draw_like_cells(spec, depth):
     assert_draws_like_cells(L.build_quotient(spec, spec.top_tb - depth))
+
+
+def assert_sum_draws_like_its_window(spec: L.SumSpec, tb_min: int) -> None:
+    """Check that the figure read off the rows and the box equals the window's, in both formats."""
+    window = L.build_quotient(spec, tb_min)
+    for fmt in ("ascii", "svg"):
+        how = L.RenderSpec(fmt, tb_min)
+        assert L.render(spec, how) == L.render(window, how), (spec.label(), tb_min, fmt)
+
+
+def test_sums_draw_like_their_windows_on_grid(cat):
+    specs = make_grid_specs(cat, 4)
+    assert len(specs) == 125
+    for spec in specs:
+        f0 = sums._box_floor(spec)
+        # The last two floors lie below F0, where no point is boxed.
+        for tb_min in [spec.top_tb - depth for depth in (0, 3, 8, 12)] + [f0 - 1, f0 - 3]:
+            assert_sum_draws_like_its_window(spec, tb_min)
+
+
+@given(st.one_of(random_sums(), wide_step_sums()), st.integers(0, 12))
+def test_sums_draw_like_their_windows_on_random_ranges(spec, depth):
+    assert_sum_draws_like_its_window(spec, spec.top_tb - depth)
+
+
+def test_a_sum_draws_with_no_window(cat):
+    spec = L.SumSpec.of([(cat["B"], 2)])
+    assert L.render_ascii(spec, L.RenderSpec(tb_min=spec.top_tb - 3)) == GOLDEN_B2_ASCII
+    # The default floor is 8 rows down, as for a range; above the top the figure is empty.
+    assert L.render_svg(spec) == L.render_svg(L.build_quotient(spec, spec.top_tb - 8))
+    assert L.render_ascii(spec, L.RenderSpec(tb_min=spec.top_tb + 1)) == "(empty diagram)\n"
 
 
 def test_render_window_ascii_golden(capsys):

@@ -780,13 +780,25 @@ def test_box_report_matches_the_window_on_powers(B):
             assert_box_report_matches_the_window(spec, spec.top_tb - depth)
 
 
-@pytest.mark.parametrize("spec, depth", [("A:2,B:2", "8"), ("B:30", "0")])
-def test_nmax_builds_no_window_and_walks_no_tuple(monkeypatch, capsys, spec, depth):
+@pytest.mark.parametrize("argv", [
+    pytest.param(("nmax", "--spec", "A:2,B:2", "--depth", "8"), id="A:2,B:2-8"),
+    pytest.param(("nmax", "--spec", "B:30", "--depth", "0"), id="B:30-0"),
+    pytest.param(("render", "--spec", "A:2,B:2", "--depth", "8", "--render", "svg"), id="render-A:2,B:2-8"),
+    pytest.param(("render", "--spec", "B:30", "--depth", "0", "--render", "svg"), id="render-B:30-0"),
+])
+def test_nmax_builds_no_window_and_walks_no_tuple(monkeypatch, capsys, argv):
+    # `render --spec` reads the same box, and the level rows, with the same builder.
     builds = [record_calls(monkeypatch, owner, "build_quotient") for owner in (sums, cli)]
     walks = record_calls(monkeypatch, sums._Generators, "walk")
-    assert main(["nmax", "--spec", spec, "--depth", depth]) == 0
-    assert "\nsimple\tfalse\ncandidate\t" in capsys.readouterr().out
-    assert (builds, walks) == ([[], []], [])
+    builders = record_calls(monkeypatch, sums._Generators, "__init__")
+    nodes = [record_calls(monkeypatch, L.PosetNode, name) for name in ("__init__", "_lazy")]
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "nmax":
+        assert "\nsimple\tfalse\ncandidate\t" in out
+    else:
+        assert out.startswith("<svg") and "#8e44ad" in out  # a point of several classes
+    assert (builds, walks, nodes, len(builders)) == ([[], []], [], [[], []], 1)
 
 
 # --- per-tuple and per-edge work ---------------------------------------------------------------
