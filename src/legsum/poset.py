@@ -27,6 +27,7 @@ that would need rows above a non-global top raise
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from ._values import Value, init, setters
@@ -157,9 +158,10 @@ class QuotientPoset:
     Nodes are held by position in window order (descending tb, ascending r,
     then key), so each fiber is one run of positions; children and parents
     are lists of positions, per sign and node.  The analyses below walk
-    positions and read no key.  The key index and the sorted ``edges`` are
-    made on first read.  Given :class:`Edge` values, the constructor sorts
-    and indexes the nodes.  :func:`legsum.sums.build_quotient` instead
+    positions and read no key.  The key index, the parent lists and the
+    sorted ``edges`` are made on first read, so a window whose parents no
+    one reads, as for ``sum`` and ``simple``, holds only its child lists.
+    Given :class:`Edge` values, the constructor sorts and indexes the nodes.  :func:`legsum.sums.build_quotient` instead
     passes ``edges`` as a dict from each sign to every node's child
     positions, its nodes in window order; only keys of multi-class fibers
     are read, to check them.  Every edge must be a stabilization step.
@@ -207,15 +209,26 @@ class QuotientPoset:
             elif i and (-nodes[i - 1].tb, nodes[i - 1].r) > (-n.tb, n.r):
                 raise ValueError(f"node at {pt} is out of window order")
             self._at[pt] = (start, i + 1)
-        self._up = {sign: [[] for _ in nodes] for sign in SIGNS}
         for sign, step in zip(SIGNS, (1, -1)):
-            up = self._up[sign]
             for i, kids in enumerate(self._down[sign]):
                 p = nodes[i]
                 for c in kids:
                     if nodes[c].tb != p.tb - 1 or nodes[c].r != p.r + step:
                         raise ValueError(f"edge {Edge(p.key, sign, nodes[c].key)} is not a {sign} stabilization step")
-                    up[c].append(i)
+
+    @cached_property
+    def _up(self) -> dict[str, list[list[int]]]:
+        """Parent positions per sign and node, made from the child lists on first read.
+
+        Concurrent first reads may each make them; they are equal, so either serves.
+        """
+        up = {sign: [[] for _ in self._nodes] for sign in SIGNS}
+        for sign in SIGNS:
+            ups = up[sign]
+            for i, kids in enumerate(self._down[sign]):
+                for c in kids:
+                    ups[c].append(i)
+        return up
 
     @classmethod
     def from_parts(

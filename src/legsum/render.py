@@ -28,25 +28,21 @@ the one class at (tb, r), and that class has no other parent.  Hence:
 So the marks are those that :func:`~legsum.poset.detect_peaks` and
 :func:`~legsum.poset.detect_valleys` find on the sum's window down to the
 same floor.  Those two still mark a :class:`~legsum.poset.QuotientPoset`,
-such as a hand-built window.  A sum's figure is refused with a domain
-error once its rows, added up from the top down as they are made, hold
-more than :data:`_MAX_POINTS` points.
+such as a hand-built window.  A sum's rows are read through the point
+budget that windows read theirs through (:func:`legsum.sums._level_rows`),
+so a figure over :data:`legsum.sums._MAX_POINTS` points is refused with a
+domain error before its marks are made.
 """
 
 from __future__ import annotations
 
 from ._values import Value, init
-from .errors import LegsumError
 from .poset import QuotientPoset, detect_peaks, detect_valleys, nonsimple_points
 from .ranges import MountainRange
-from .sums import SumSpec, _box_scan, _Generators
+from .sums import SumSpec, _box_scan, _Generators, _level_rows
 
 ASCII = "ascii"
 SVG = "svg"
-
-# The most points a sum's figure may draw.  A's figure at depth 1000 draws
-# 503,502, at a peak of about 83 MiB as ASCII and 500 MiB as SVG.
-_MAX_POINTS = 1_000_000
 
 
 class RenderSpec(Value):
@@ -67,11 +63,12 @@ def _grid(model, spec: RenderSpec) -> tuple[dict[tuple[int, int], str], int, int
     any other point by ``^`` for a peak (a parentless node), ``v`` for a
     valley and ``o`` otherwise.
     """
-    if isinstance(model, SumSpec):
-        return _sum_grid(model, spec)
-    if isinstance(model, MountainRange):
+    if isinstance(model, (SumSpec, MountainRange)):
         top = model.top_tb
         tb_min = spec.tb_min if spec.tb_min is not None else top - 8
+    if isinstance(model, SumSpec):
+        points, peaks, valleys, crowded = _sum_grid(model, top, tb_min)
+    elif isinstance(model, MountainRange):
         model.require_valid()
         points = [(tb, r) for tb in range(top, tb_min - 1, -1) for r in model.level_points(tb)]
         peaks = {(p.tb, p.r) for p in model.peaks}
@@ -95,47 +92,32 @@ def _grid(model, spec: RenderSpec) -> tuple[dict[tuple[int, int], str], int, int
     return grid, top, tb_min
 
 
-def _sum_grid(sum_spec: SumSpec, spec: RenderSpec) -> tuple[dict[tuple[int, int], str], int, int]:
-    """:func:`_grid` of ``build_quotient(sum_spec, tb_min)``, read off the level rows and the box scan.
+def _sum_grid(sum_spec: SumSpec, top: int, tb_min: int):
+    """The points, peaks, valleys and fiber sizes of ``build_quotient(sum_spec, tb_min)``, read off the level rows and the box scan.
 
     One builder makes the rows and the scan; the mark rules are in the
-    module docstring.
+    module docstring.  The points come as a generator over the rows, so no
+    list of them is held beside the grid.
     """
-    top = sum_spec.top_tb
-    tb_min = spec.tb_min if spec.tb_min is not None else top - 8
     gens = _Generators(sum_spec)
-    rows, count = [], 0
-    for tb in range(top, tb_min - 1, -1):
-        row = gens.level_points(tb)
-        count += len(row)
-        if count > _MAX_POINTS:
-            raise LegsumError(
-                f"figure too large: its rows from tb {top} down to {tb} hold {count} points, "
-                f"more than the limit of {_MAX_POINTS}"
-            )
-        rows.append(row)
+    rows = list(_level_rows(gens, top, tb_min, "figure"))
     crowded = {pt: size for pt, size, _case in _box_scan(sum_spec, tb_min, gens)}
-    grid = {}
+    peaks, valleys = set(), set()
     above: set[int] = set()  # the r values of the rows tb + 1 and tb + 2
     two_above: set[int] = set()
-    for tb, row in zip(range(top, tb_min - 1, -1), rows):
+    for tb, row, _lo, _hi in rows:
         valley_row = tb <= top - 2
         for r in row:
-            size = crowded.get((tb, r))
-            if size:
-                grid[tb, r] = str(size) if size <= 9 else "#"
-            elif r - 1 not in above and r + 1 not in above:
-                grid[tb, r] = "^"
+            if r - 1 not in above and r + 1 not in above:
+                peaks.add((tb, r))
             elif valley_row and (
                 (tb + 1, r - 1) in crowded
                 or (tb + 1, r + 1) in crowded
                 or (r - 1 in above and r + 1 in above and r not in two_above)
             ):
-                grid[tb, r] = "v"
-            else:
-                grid[tb, r] = "o"
+                valleys.add((tb, r))
         two_above, above = above, set(row)
-    return grid, top, tb_min
+    return ((tb, r) for tb, row, _lo, _hi in rows for r in row), peaks, valleys, crowded
 
 
 # --- ascii ---------------------------------------------------------------------
@@ -170,7 +152,8 @@ def _ascii(grid: dict[tuple[int, int], str], top: int, tb_min: int) -> str:
         lines.append(f"tb {str(tb).rjust(label_w)} |{row}|")
     lines.append(f"tb {' ' * label_w} +{'-' * (r_hi - r_lo + 1)}+")
     lines.append(f"   {' ' * label_w}  r = {r_lo} .. {r_hi}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, with no second copy of the text
+    return "\n".join(lines)
 
 
 # --- svg ------------------------------------------------------------------------
@@ -235,7 +218,8 @@ def _svg(grid: dict[tuple[int, int], str], top: int, tb_min: int) -> str:
                 f'font-family="monospace" font-size="11" fill="#2c3e50">{r}</text>'
             )
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("")  # the closing newline, with no second copy of the text
+    return "\n".join(out)
 
 
 def _figure(model, spec: RenderSpec) -> tuple[bytes, int]:

@@ -51,7 +51,7 @@ from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
 from ._values import Value, init, setters
-from .errors import InvalidSummand, MultiplicityMismatch, WindowEmpty
+from .errors import InvalidSummand, LegsumError, MultiplicityMismatch, WindowEmpty
 from .poset import DichotomyVerdict, NonsimpleReport, PosetNode, QuotientPoset
 from .ranges import NEG, POS, MountainRange, SimpleClass, _level_points
 
@@ -300,7 +300,7 @@ class _Generators:
     move raises V and lowers U, so every step stays present (v <= V,
     u <= U_min <= U) and the point has one class.  With v <= V_min the same holds for right moves and the
     all-rightmost generator.  So a point of the sum has several classes
-    only inside the box u > U_min, v > V_min (:meth:`boxed`), and only
+    only inside the box u > U_min, v > V_min (:meth:`boxed_run`), and only
     there are components computed.  The box is bounded: u + v = 2 tb, so
     its points all have tb > (U_min + V_min) / 2.  The lemma says nothing
     of points outside the sum, which have no class.  The canonical tuples
@@ -366,16 +366,12 @@ class _Generators:
     def boxed_run(self, tb: int) -> tuple[list[int], int, int]:
         """The r values of the sum's points at level tb, with the bounds lo, hi of its boxed run ``row[lo:hi]``.
 
-        Two bisections cut the row at the box of :meth:`boxed`: its points
-        with r <= U_min - tb or r >= tb - V_min lie outside it.
+        Two bisections cut the row at the box u > U_min, v > V_min: its
+        points with r <= U_min - tb or r >= tb - V_min lie outside it.
         """
         row = self.level_points(tb)
         lo = bisect_right(row, self.U_min - tb)
         return row, lo, max(lo, bisect_left(row, tb - self.V_min))
-
-    def boxed(self, tb: int, r: int) -> bool:
-        """Whether (tb, r) lies in the box u > U_min, v > V_min, outside which a point of the sum has one class."""
-        return tb + r > self.U_min and tb - r > self.V_min
 
     def components(self, tb: int, r: int) -> dict[Generator, Generator]:
         """Every generator at (tb, r), mapped to the root of its component; empty iff the point is not in the sum."""
@@ -545,12 +541,12 @@ class _Generators:
                     yield f"{head}{c}|{c_last}" if text else TupleClass(head + (c, c_last))
 
 
-def _partition(gens: _Generators, tb: int, r: int) -> tuple[dict[Generator, Generator], list[tuple[Generator | None, PosetNode]]]:
+def _partition(gens: _Generators, tb: int, r: int) -> tuple[dict[Generator, Generator], list[tuple[Generator, PosetNode]]]:
     """The components at one point (:meth:`_Generators.components`) and its classes, each with its root.
 
-    A point outside the sum has no components and no class.  Outside the
-    box of :meth:`_Generators.boxed` a point of the sum has one class, with
-    root ``None``.  Tuples whose generators share a component form one
+    A point outside the sum has no components and no class, and a point
+    outside the box (:meth:`_Generators.boxed_run`) has one root and one
+    class.  Tuples whose generators share a component form one
     class, named by its representative, its first tuple in the canonical
     order :meth:`_Generators.walk` yields.  A one-class point's node holds
     the builder and walks no tuple until it is read
@@ -561,7 +557,7 @@ def _partition(gens: _Generators, tb: int, r: int) -> tuple[dict[Generator, Gene
     components = gens.components(tb, r)
     if not components:
         return components, []
-    roots = set(components.values()) if gens.boxed(tb, r) else {None}
+    roots = set(components.values())
     if len(roots) == 1:
         return components, [(roots.pop(), PosetNode._lazy(tb, r, gens))]
     groups: dict[Generator, list[TupleClass]] = {}
@@ -604,16 +600,35 @@ def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
 
 # --- quotient windows ----------------------------------------------------------------
 
+# The most points a window or a figure may hold; A at depth 1000 holds 503,502.
+_MAX_POINTS = 1_000_000
+
+
+def _level_rows(gens: _Generators, top: int, tb_min: int, what: str) -> Iterator[tuple[int, list[int], int, int]]:
+    """Each level row from ``top`` down to ``tb_min`` as ``(tb, *gens.boxed_run(tb))``, within the point budget.
+
+    Once the rows made hold more than :data:`_MAX_POINTS` points, it raises
+    :class:`LegsumError`, naming ``what`` reads them, and makes no row below.
+    """
+    count = 0
+    for tb in range(top, tb_min - 1, -1):
+        row, lo, hi = gens.boxed_run(tb)
+        count += len(row)
+        if count > _MAX_POINTS:
+            raise LegsumError(f"{what} too large: its rows from tb {top} down to {tb} hold {count} points, more than the limit of {_MAX_POINTS}")
+        yield tb, row, lo, hi
+
 
 def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPoset:
     """The window of the quotient poset from its top level down to tb_min.
 
-    The window is built a level row at a time, from the top down.  A row is
-    the sum's points at one level (:meth:`_Generators.level_points`), and
-    two bisections split it at the box (:meth:`_Generators.boxed_run`): its
-    points with r <= U_min - tb or r >= tb - V_min have one class with root
-    ``None``, made with no joins and no tuples; only the points between are
-    partitioned into the components of their generator joins (see
+    The window is built a level row at a time, from the top down, within
+    the point budget of :func:`_level_rows`.  A row is the sum's points at
+    one level, and two bisections split it at the box
+    (:meth:`_Generators.boxed_run`): its points with r <= U_min - tb or
+    r >= tb - V_min have one class with root ``None``, made with no joins
+    and no tuples; only the points between are partitioned into the
+    components of their generator joins (see
     :func:`_partition`), and only they walk tuples at build time, to list
     and order several classes.  Edges are the signed stabilization steps
     between classes, led from component to component: the class with root
@@ -623,7 +638,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     open there.  So a child is found in the next row by its r alone, and at
     a point of several classes by the generator g too; a parent outside
     the box has its children outside it, since u and v only fall going
-    down.
+    down, so none of them is split.
     ``workers`` > 1 runs the partitioning of the boxed points on a thread
     pool; results are identical to the serial order.
     """
@@ -631,8 +646,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     if tb_min > top:
         raise WindowEmpty(f"window floor {tb_min} lies above the top level {top}")
     gens = _Generators(spec)
-    # Per level: tb, its r values and the bounds of its boxed run.
-    rows = [(tb, *gens.boxed_run(tb)) for tb in range(top, tb_min - 1, -1)]
+    rows = list(_level_rows(gens, top, tb_min, "window"))
     boxed = [(tb, r) for tb, row, lo, hi in rows for r in row[lo:hi]]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -666,7 +680,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
                 nodes.append(node)
         for r, root in above:
             for kids, c in ((pos_kids, r + 1), (neg_kids, r - 1)):
-                by_gen = split.get(c) if root is not None else None
+                by_gen = split.get(c)
                 kids.append([by_gen[root] if by_gen else at[c]])
         above = here
     for _ in above:

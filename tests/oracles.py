@@ -382,8 +382,7 @@ def point_window(spec: L.SumSpec, tb_min: int) -> L.QuotientPoset:
     This is the library's earlier window builder.  Every point of every level
     is partitioned by ``sums._partition``, classes are placed by a
     ``(tb, r, root)`` key, and each child is found by that key, from the
-    child's generator components inside the box and root ``None`` outside
-    it.  The classes and their members come from the library's own
+    child's generator components, with no test of the box.  The classes and their members come from the library's own
     per-point partition; only the assembly of the window differs.
     """
     gens = sums._Generators(spec)
@@ -406,7 +405,7 @@ def point_window(spec: L.SumSpec, tb_min: int) -> L.QuotientPoset:
                 kids.append([])
                 continue
             child = (node.tb - 1, node.r + step)
-            kids.append([where[(*child, gens.components(*child)[root] if gens.boxed(*child) else None)]])
+            kids.append([where[(*child, gens.components(*child)[root])]])
     return L.QuotientPoset(nodes, steps, tb_min, spec.top_tb, top_is_global=True)
 
 

@@ -457,6 +457,26 @@ def test_fiber_json_walks_its_one_class_point_once(monkeypatch, capsys):
     assert walked == {(-1, 0): 1}
 
 
+def test_sum_and_simple_make_no_parent_list(capsys, monkeypatch):
+    windows = []
+    for module in (sys.modules["legsum.cli"], sys.modules["legsum.simplicity"]):
+        build = module.build_quotient
+        monkeypatch.setattr(module, "build_quotient", lambda *a, build=build, **k: windows.append(build(*a, **k)) or windows[-1])
+    for argv in (["sum", "--format", "json"], ["sum", "--format", "text"], ["simple"]):
+        assert run(capsys, *argv, "--spec", "A:2,B:2", "--depth", "6")[0] == 0
+    assert len(windows) == 3 and not any("_up" in vars(w) for w in windows)
+    # Parent lists made later read as those of a fresh window.
+    spec = legsum.SumSpec.of([(legsum.catalog()["A"], 2), (legsum.catalog()["B"], 2)])
+
+    def analyses(w):
+        keys = lambda nodes: [n.key for n in nodes]
+        parents = [w.parents(n.key, sign) for n in w for sign in (None, "+", "-")]
+        return parents, keys(legsum.detect_peaks(w)), keys(legsum.detect_valleys(w)), legsum.nonsimple_report(w)
+
+    for w in windows:
+        assert analyses(w) == analyses(legsum.build_quotient(spec, w.tb_min))
+
+
 # --- simplicity commands -------------------------------------------------------------
 
 
@@ -629,12 +649,11 @@ def test_render_summary_counts_the_window_points(capsys, tmp_path, grid_specs):
 
 
 def test_render_refuses_a_figure_over_the_point_limit(capsys, monkeypatch):
-    render_module = sys.modules["legsum.render"]
     made = []
     level_points = legsum.sums._Generators.level_points
     monkeypatch.setattr(legsum.sums._Generators, "level_points", lambda gens, tb: made.append(tb) or level_points(gens, tb))
     # A's rows from its top 0 down hold 2, 4 and 5 points: 11 > 10 at the third.
-    monkeypatch.setattr(render_module, "_MAX_POINTS", 10)
+    monkeypatch.setattr(legsum.sums, "_MAX_POINTS", 10)
     rc, out, err = run(capsys, "render", "--spec", "A", "--depth", "100000", "--render", "svg")
     assert (rc, out) == (1, "")
     assert err == "error: figure too large: its rows from tb 0 down to -2 hold 11 points, more than the limit of 10\n"
@@ -644,10 +663,36 @@ def test_render_refuses_a_figure_over_the_point_limit(capsys, monkeypatch):
     monkeypatch.undo()
     # The limit lies above the deepest figure the CI guards draw, A at depth 1000.
     gens = legsum.sums._Generators(legsum.SumSpec.of([(legsum.catalog()["A"], 1)]))
-    assert sum(len(gens.level_points(-depth)) for depth in range(1001)) == 503502 < render_module._MAX_POINTS
+    assert sum(len(gens.level_points(-depth)) for depth in range(1001)) == 503502 < legsum.sums._MAX_POINTS
     rc, out, err = run(capsys, "render", "--spec", "A", "--depth", "100000")
     assert (rc, out) == (1, "")
-    assert err.startswith("error: figure too large: ") and f"the limit of {render_module._MAX_POINTS}\n" in err
+    assert err.startswith("error: figure too large: ") and f"the limit of {legsum.sums._MAX_POINTS}\n" in err
+
+
+def test_sum_and_valleys_refuse_a_window_over_the_point_limit(capsys, monkeypatch):
+    made = []
+    level_points = legsum.sums._Generators.level_points
+    monkeypatch.setattr(legsum.sums._Generators, "level_points", lambda gens, tb: made.append(tb) or level_points(gens, tb))
+    # Windows read their rows through the same budget as figures: A's rows
+    # from its top 0 down hold 2, 4 and 5 points, 11 > 10 at the third.
+    monkeypatch.setattr(legsum.sums, "_MAX_POINTS", 10)
+    for argv in (["sum", "--spec", "A"], ["sum", "--spec", "A", "--format", "text"], ["valleys", "--spec", "A"]):
+        made.clear()
+        rc, out, err = run(capsys, *argv, "--depth", "100000")
+        assert (rc, out) == (1, ""), argv
+        assert err == "error: window too large: its rows from tb 0 down to -2 hold 11 points, more than the limit of 10\n"
+        assert made == [0, -1, -2]
+    spec = legsum.SumSpec.of([(legsum.catalog()["A"], 1)])
+    with pytest.raises(legsum.LegsumError, match="^window too large: "):
+        legsum.build_quotient(spec, -100000)
+    monkeypatch.undo()
+    # The limit lies above the largest tier-1 window, A at depth 400.
+    gens = legsum.sums._Generators(spec)
+    assert sum(len(gens.level_points(-depth)) for depth in range(401)) == 81402 < legsum.sums._MAX_POINTS
+    for command in ("sum", "valleys"):
+        rc, out, err = run(capsys, command, "--spec", "A", "--depth", "100000")
+        assert (rc, out) == (1, "")
+        assert err == "error: window too large: its rows from tb 0 down to -1411 hold 1000401 points, more than the limit of 1000000\n"
 
 
 # --- shared plumbing --------------------------------------------------------------------

@@ -510,7 +510,7 @@ def assert_one_class_outside_the_box(spec: L.SumSpec, depth: int) -> int:
     outside = 0
     for tb in range(spec.top_tb, spec.top_tb - depth - 1, -1):
         for r in gens.level_points(tb):
-            if not gens.boxed(tb, r):
+            if not (tb + r > gens.U_min and tb - r > gens.V_min):
                 outside += 1
                 assert len(set(gens.components(tb, r).values())) == 1, (spec.label(), tb, r)
     return outside
@@ -528,7 +528,7 @@ def test_points_outside_the_box_have_one_class_on_random_ranges(spec, depth):
 
 
 def test_window_builds_join_generators_only_inside_the_box(monkeypatch, A, B):
-    joined = record_calls(monkeypatch, sums._Generators, "components", lambda gens, tb, r: gens.boxed(tb, r))
+    joined = record_calls(monkeypatch, sums._Generators, "components", lambda gens, tb, r: tb + r > gens.U_min and tb - r > gens.V_min)
     for parts, depth in (([(A, 2), (B, 2)], 8), ([(B, 3)], 10)):
         spec = L.SumSpec.of(parts)
         window = L.build_quotient(spec, spec.top_tb - depth)
