@@ -52,8 +52,8 @@ COSTLY = [
     "fiber --spec B,Aprime --tb=-1000 --r=3",
     "fiber --spec B,Aprime --tb=-1000 --r=3 --format json",
 ]
-# Windows over the point limit, which end in a domain error.
-OVER_LIMIT = ["sum --spec A --depth 100000", "valleys --spec A --depth 100000"]
+# Windows and figures over the point limit, which end in a domain error.
+OVER_LIMIT = ["sum --spec A --depth 100000", "valleys --spec A --depth 100000", "render --knot A --depth 100000"]
 ARGVS = list(dict.fromkeys(FIXED + COSTLY + OVER_LIMIT))
 
 LAYER_SPECS = [("A:2,B:2", 12), ("B:3", 12)]
@@ -144,7 +144,7 @@ def time_layers(text: str, depth: int, repeat: int = 5) -> dict:
     gens = sums._Generators(spec)
     window = sums.build_quotient(spec, tb_min)
     counts = {
-        "boxed_points": sum(hi - lo for _tb, _row, lo, hi in sums._level_rows(gens, spec.top_tb, tb_min, "window")),
+        "boxed_points": sum(len(row[gens.box_cut(tb, row)]) for tb, row in sums._level_rows(gens.level_points, spec.top_tb, tb_min, "window")),
         "nodes": len(window),
         "members_listed": sum(len(node.ids) for node in window),
         "walked_point": list(deep),

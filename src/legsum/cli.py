@@ -363,7 +363,7 @@ def cmd_nmax(args, parser) -> Result:
 def cmd_render(args, parser) -> Result:
     fmt = args.render or ASCII
     if args.spec:
-        # Drawn from the sum's level rows and its box scan, with no window.
+        # Drawn from the sum's level rows and their boxed class counts, with no window.
         model = _load_spec(args, parser)
         label = model.label()
     else:

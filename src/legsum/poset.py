@@ -368,12 +368,15 @@ def detect_peaks(poset: QuotientPoset) -> tuple[PosetNode, ...]:
 def detect_valleys(poset: QuotientPoset) -> tuple[PosetNode, ...]:
     """Nodes with two parents that share no common parent.
 
-    Only evaluated for nodes at least two rows below the top, where both
-    required parent rows are inside the window.
+    A node needs both rows above it inside the window, so in a hand-built
+    window only nodes at least two rows below the top are evaluated.  When
+    the top is global, as in a built window, the row above it is empty, so
+    two parents at the top share none and the row just under it is
+    evaluated too.
     """
     out = []
     for i, n in enumerate(poset):
-        if n.tb > poset.top_tb - 2:
+        if n.tb > poset.top_tb - 2 and not poset.top_is_global:
             continue
         ps = _above(poset, i)
         if len(ps) < 2:

@@ -9,29 +9,37 @@ a row's parity.  SVG draws them as a triangle, an inverted triangle, a
 circle or a labelled square, assembled by hand from a fixed template so
 identical inputs give identical bytes.
 
-A :class:`~legsum.sums.SumSpec` is drawn with no window: its points are the
-sum's level rows, and the fiber sizes are the class counts of the box scan
-(:func:`legsum.sums._box_scan`), since outside the box every point has one
-class.  A one-class point's mark then needs only which points are in the
-sum.  Every class at a point of the sum has one child per sign, one row
-down, so every class at an upper neighbour (tb + 1, r -+ 1) is a parent of
-the one class at (tb, r), and that class has no other parent.  Hence:
+A knot and a :class:`~legsum.sums.SumSpec` are drawn with no window, by one
+path: their points are the level rows, read from the top down through the
+point budget that windows read theirs through
+(:func:`legsum.sums._level_rows`), each row made once.  A sum's fiber sizes
+are the class counts of the boxed points of those rows
+(:meth:`legsum.sums._Generators.components`), since outside the box every
+point has one class; a knot is the case where every point has one class.
+A one-class point's mark then needs only which points are present, and
+which of them have several classes.  Every class at a point has one child
+per sign, one row down, so every class at an upper neighbour
+(tb + 1, r -+ 1) is a parent of the one class at (tb, r), and that class
+has no other parent.  Hence:
 
-* it is a peak iff neither (tb + 1, r -+ 1) is in the sum;
-* it is a valley iff tb <= top - 2 and either an upper neighbour has
-  several classes, or both are one-class and (tb + 2, r) is not in the
-  sum.  Two classes at one point never share a parent, since the parent
-  would have two children of one sign.  Two one-class upper neighbours can
-  share only a parent at (tb + 2, r), and every class there is a parent of
-  both.  With fewer than two parents there is no valley.
+* it is a peak iff neither (tb + 1, r -+ 1) is present;
+* it is a valley iff an upper neighbour has several classes, or both are
+  present and (tb + 2, r) is not.  Two classes at one point never share a
+  parent, since the parent would have two children of one sign.  Two
+  one-class upper neighbours can share only a parent at (tb + 2, r), and
+  every class there is a parent of both.  With fewer than two parents there
+  is no valley.
 
-So the marks are those that :func:`~legsum.poset.detect_peaks` and
-:func:`~legsum.poset.detect_valleys` find on the sum's window down to the
-same floor.  Those two still mark a :class:`~legsum.poset.QuotientPoset`,
-such as a hand-built window.  A sum's rows are read through the point
-budget that windows read theirs through (:func:`legsum.sums._level_rows`),
-so a figure over :data:`legsum.sums._MAX_POINTS` points is refused with a
-domain error before its marks are made.
+The rule needs no bound on tb: the top is global, so the row above it is
+empty, and a point just under the top with both upper neighbours present is
+a valley.  For a knot these marks are its peaks and its valleys
+(:meth:`~legsum.ranges.MountainRange.valleys`); for a sum they are those
+that :func:`~legsum.poset.detect_peaks` and
+:func:`~legsum.poset.detect_valleys` find on its window down to the same
+floor.  Those two still mark a :class:`~legsum.poset.QuotientPoset`, such as
+a hand-built window.  A figure over :data:`legsum.sums._MAX_POINTS` points is
+refused with a domain error at the row that passes the limit, before any
+mark, and no row below it is made.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 from ._values import Value, init
 from .poset import QuotientPoset, detect_peaks, detect_valleys, nonsimple_points
 from .ranges import MountainRange
-from .sums import SumSpec, _box_scan, _Generators, _level_rows
+from .sums import SumSpec, _Generators, _level_rows
 
 ASCII = "ascii"
 SVG = "svg"
@@ -61,63 +69,52 @@ def _grid(model, spec: RenderSpec) -> tuple[dict[tuple[int, int], str], int, int
 
     A point of several classes is marked by its fiber size, ``#`` above 9;
     any other point by ``^`` for a peak (a parentless node), ``v`` for a
-    valley and ``o`` otherwise.
+    valley and ``o`` otherwise.  A knot's and a sum's points come from
+    :func:`_row_points`, a window's from its nodes.
     """
-    if isinstance(model, (SumSpec, MountainRange)):
-        top = model.top_tb
-        tb_min = spec.tb_min if spec.tb_min is not None else top - 8
-    if isinstance(model, SumSpec):
-        points, peaks, valleys, crowded = _sum_grid(model, top, tb_min)
-    elif isinstance(model, MountainRange):
-        model.require_valid()
-        points = [(tb, r) for tb in range(top, tb_min - 1, -1) for r in model.level_points(tb)]
-        peaks = {(p.tb, p.r) for p in model.peaks}
-        valleys = {(v.tb, v.r) for v in model.valleys()}
-        crowded = {}
-    elif isinstance(model, QuotientPoset):
+    if isinstance(model, QuotientPoset):
         top, tb_min = model.top_tb, model.tb_min
-        points = model.points()
         peaks = {n.point for n in detect_peaks(model)}
         valleys = {n.point for n in detect_valleys(model)}
         crowded = dict(nonsimple_points(model))
+        points = ((pt, crowded.get(pt, 1), pt in peaks, pt in valleys) for pt in model.points())
+    elif isinstance(model, (SumSpec, MountainRange)):
+        top = model.top_tb
+        tb_min = spec.tb_min if spec.tb_min is not None else top - 8
+        points = _row_points(model, top, tb_min)
     else:
         raise TypeError(f"cannot render {type(model).__name__}")
     grid = {}
-    for pt in points:
-        size = crowded.get(pt)
-        if size:
-            grid[pt] = str(size) if size <= 9 else "#"
-        else:
-            grid[pt] = "^" if pt in peaks else "v" if pt in valleys else "o"
+    for pt, size, peak, valley in points:
+        grid[pt] = (str(size) if size <= 9 else "#") if size > 1 else "^" if peak else "v" if valley else "o"
     return grid, top, tb_min
 
 
-def _sum_grid(sum_spec: SumSpec, top: int, tb_min: int):
-    """The points, peaks, valleys and fiber sizes of ``build_quotient(sum_spec, tb_min)``, read off the level rows and the box scan.
+def _row_points(model: SumSpec | MountainRange, top: int, tb_min: int):
+    """Each point of a knot or a sum from ``top`` down to ``tb_min``, with its fiber size and whether it is a peak and a valley.
 
-    One builder makes the rows and the scan; the mark rules are in the
-    module docstring.  The points come as a generator over the rows, so no
-    list of them is held beside the grid.
+    The rows are read through the point budget
+    (:func:`legsum.sums._level_rows`), each made once, all before the first
+    mark.  A sum's fiber sizes are the class counts of the boxed points of
+    those rows; a knot's points have one class.  The mark rules are in the
+    module docstring.
     """
-    gens = _Generators(sum_spec)
-    rows = list(_level_rows(gens, top, tb_min, "figure"))
-    crowded = {pt: size for pt, size, _case in _box_scan(sum_spec, tb_min, gens)}
-    peaks, valleys = set(), set()
+    gens = _Generators(model) if isinstance(model, SumSpec) else None
+    level_points = gens.level_points if gens else model.require_valid().level_points
     above: set[int] = set()  # the r values of the rows tb + 1 and tb + 2
     two_above: set[int] = set()
-    for tb, row, _lo, _hi in rows:
-        valley_row = tb <= top - 2
+    crowded: dict[int, int] = {}  # the fiber sizes over 1 of the row, by r
+    for tb, row in list(_level_rows(level_points, top, tb_min, "figure")):
+        crowded_above, crowded = crowded, {}
+        if gens:
+            crowded = {r: size for r in row[gens.box_cut(tb, row)] if (size := len(set(gens.components(tb, r).values()))) > 1}
         for r in row:
-            if r - 1 not in above and r + 1 not in above:
-                peaks.add((tb, r))
-            elif valley_row and (
-                (tb + 1, r - 1) in crowded
-                or (tb + 1, r + 1) in crowded
+            yield (tb, r), crowded.get(r, 1), r - 1 not in above and r + 1 not in above, (
+                r - 1 in crowded_above
+                or r + 1 in crowded_above
                 or (r - 1 in above and r + 1 in above and r not in two_above)
-            ):
-                valleys.add((tb, r))
+            )
         two_above, above = above, set(row)
-    return ((tb, r) for tb, row, _lo, _hi in rows for r in row), peaks, valleys, crowded
 
 
 # --- ascii ---------------------------------------------------------------------

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._values import Value, init, setters
 from .errors import InvalidSummand, LegsumError, MultiplicityMismatch, WindowEmpty
@@ -300,7 +300,7 @@ class _Generators:
     move raises V and lowers U, so every step stays present (v <= V,
     u <= U_min <= U) and the point has one class.  With v <= V_min the same holds for right moves and the
     all-rightmost generator.  So a point of the sum has several classes
-    only inside the box u > U_min, v > V_min (:meth:`boxed_run`), and only
+    only inside the box u > U_min, v > V_min (:meth:`box_cut`), and only
     there are components computed.  The box is bounded: u + v = 2 tb, so
     its points all have tb > (U_min + V_min) / 2.  The lemma says nothing
     of points outside the sum, which have no class.  The canonical tuples
@@ -363,15 +363,14 @@ class _Generators:
         """The r values of the sum's points at level tb: the cone slices of the generator tops."""
         return _level_points(self._top_points, tb)
 
-    def boxed_run(self, tb: int) -> tuple[list[int], int, int]:
-        """The r values of the sum's points at level tb, with the bounds lo, hi of its boxed run ``row[lo:hi]``.
+    def box_cut(self, tb: int, row: list[int]) -> slice:
+        """The slice of ``row``, the sum's level row at tb as made by the caller, that is its boxed run.
 
         Two bisections cut the row at the box u > U_min, v > V_min: its
         points with r <= U_min - tb or r >= tb - V_min lie outside it.
         """
-        row = self.level_points(tb)
         lo = bisect_right(row, self.U_min - tb)
-        return row, lo, max(lo, bisect_left(row, tb - self.V_min))
+        return slice(lo, max(lo, bisect_left(row, tb - self.V_min)))
 
     def components(self, tb: int, r: int) -> dict[Generator, Generator]:
         """Every generator at (tb, r), mapped to the root of its component; empty iff the point is not in the sum."""
@@ -545,7 +544,7 @@ def _partition(gens: _Generators, tb: int, r: int) -> tuple[dict[Generator, Gene
     """The components at one point (:meth:`_Generators.components`) and its classes, each with its root.
 
     A point outside the sum has no components and no class, and a point
-    outside the box (:meth:`_Generators.boxed_run`) has one root and one
+    outside the box (:meth:`_Generators.box_cut`) has one root and one
     class.  Tuples whose generators share a component form one
     class, named by its representative, its first tuple in the canonical
     order :meth:`_Generators.walk` yields.  A one-class point's node holds
@@ -604,19 +603,21 @@ def peaks_of_sum(spec: SumSpec) -> list[TupleClass]:
 _MAX_POINTS = 1_000_000
 
 
-def _level_rows(gens: _Generators, top: int, tb_min: int, what: str) -> Iterator[tuple[int, list[int], int, int]]:
-    """Each level row from ``top`` down to ``tb_min`` as ``(tb, *gens.boxed_run(tb))``, within the point budget.
+def _level_rows(level_points: Callable[[int], list[int]], top: int, tb_min: int, what: str) -> Iterator[tuple[int, list[int]]]:
+    """Each level row from ``top`` down to ``tb_min`` as ``(tb, level_points(tb))``, within the point budget.
 
+    ``level_points`` is :meth:`_Generators.level_points` for a sum, or
+    :meth:`MountainRange.level_points` for a knot; each row is made once.
     Once the rows made hold more than :data:`_MAX_POINTS` points, it raises
     :class:`LegsumError`, naming ``what`` reads them, and makes no row below.
     """
     count = 0
     for tb in range(top, tb_min - 1, -1):
-        row, lo, hi = gens.boxed_run(tb)
+        row = level_points(tb)
         count += len(row)
         if count > _MAX_POINTS:
             raise LegsumError(f"{what} too large: its rows from tb {top} down to {tb} hold {count} points, more than the limit of {_MAX_POINTS}")
-        yield tb, row, lo, hi
+        yield tb, row
 
 
 def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPoset:
@@ -625,7 +626,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     The window is built a level row at a time, from the top down, within
     the point budget of :func:`_level_rows`.  A row is the sum's points at
     one level, and two bisections split it at the box
-    (:meth:`_Generators.boxed_run`): its points with r <= U_min - tb or
+    (:meth:`_Generators.box_cut`): its points with r <= U_min - tb or
     r >= tb - V_min have one class with root ``None``, made with no joins
     and no tuples; only the points between are partitioned into the
     components of their generator joins (see
@@ -646,8 +647,8 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     if tb_min > top:
         raise WindowEmpty(f"window floor {tb_min} lies above the top level {top}")
     gens = _Generators(spec)
-    rows = list(_level_rows(gens, top, tb_min, "window"))
-    boxed = [(tb, r) for tb, row, lo, hi in rows for r in row[lo:hi]]
+    rows = [(tb, row, gens.box_cut(tb, row)) for tb, row in _level_rows(gens.level_points, top, tb_min, "window")]
+    boxed = [(tb, r) for tb, row, cut in rows for r in row[cut]]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -660,13 +661,13 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     steps: dict[str, list[list[int]]] = {POS: [], NEG: []}  # child positions per sign and node
     pos_kids, neg_kids = steps[POS], steps[NEG]
     above: list[tuple[int, Generator | None]] = []  # (r, root) of each node of the row above
-    for tb, row, lo, hi in rows:
+    for tb, row, cut in rows:
         at: dict[int, int] = {}  # position of each point's first class, by r
         split: dict[int, dict[Generator, int]] = {}  # at a point of several classes: position by generator
         here: list[tuple[int, Generator | None]] = []
         for k, r in enumerate(row):
             at[r] = len(nodes)
-            if not lo <= k < hi:
+            if not cut.start <= k < cut.stop:
                 here.append((r, None))
                 nodes.append(PosetNode._lazy(tb, r, gens))
                 continue
@@ -689,11 +690,12 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)
 
 
-def _box_scan(spec: SumSpec, tb_min: int, gens: _Generators | None = None) -> Iterator[tuple[tuple[int, int], int, str | None]]:
+def _box_scan(spec: SumSpec, tb_min: int) -> Iterator[tuple[tuple[int, int], int, str | None]]:
     """Each nonsimple point from the top row down to ``max(tb_min, F0)``, with its class count and, if it is maximal, its case.
 
-    Only the boxed points of those rows are read, cut as in
-    :func:`build_quotient`, each by :meth:`_Generators.components`; see
+    Each row is made once and cut at the box by
+    :meth:`_Generators.box_cut`, as in :func:`build_quotient`, and only its
+    boxed points are read, each by :meth:`_Generators.components`; see
     :class:`_Generators` for why that is exact.  Points come in window
     order, each as soon as it is read, so a caller that stops reads no
     later point.  A class is marked when it sits at a nonsimple point or
@@ -703,20 +705,17 @@ def _box_scan(spec: SumSpec, tb_min: int, gens: _Generators | None = None) -> It
     ancestors.  A maximal point is case1 when some class there has no
     parent, case2 when it has two classes, both upper neighbours and no
     point (tb + 2, r) at or under the top, and a violation otherwise.
-    ``gens`` is the builder of ``spec`` to read, made here if not given;
-    a caller that reads the level rows too, as :mod:`legsum.render` does,
-    passes its own, so one builder serves both.
+    The scan reads no point budget: its rows stop at the box floor.
     """
-    if gens is None:
-        gens = _Generators(spec)
+    gens = _Generators(spec)
     above: dict[int, dict[Generator, Generator]] = {}  # components of each boxed point of the row above, by r
     two_above: dict[int, dict[Generator, Generator]] = {}
     marked_above: dict[int, set[Generator]] = {}  # marked roots of the row above, by r
     for tb in range(spec.top_tb, max(tb_min, _box_floor(spec)) - 1, -1):
-        row, lo, hi = gens.boxed_run(tb)
+        row = gens.level_points(tb)
         here: dict[int, dict[Generator, Generator]] = {}
         marked: dict[int, set[Generator]] = {}
-        for r in row[lo:hi]:
+        for r in row[gens.box_cut(tb, row)]:
             components = here[r] = gens.components(tb, r)
             roots = set(components.values())
             below = {components[g] for q in (r - 1, r + 1) for g in marked_above.get(q, ())}

@@ -18,7 +18,7 @@ def load_bench():
 
 def test_bench_records_a_process_and_a_layer():
     bench = load_bench()
-    assert len(bench.FIXED) == 24 and len(bench.COSTLY) == 9 and len(bench.OVER_LIMIT) == 2
+    assert len(bench.FIXED) == 24 and len(bench.COSTLY) == 9 and len(bench.OVER_LIMIT) == 3
     rec = bench.record(["criterion --spec U1:3"], [("B:2", 3)], tier1=False, repeat=(1, 1))
     (process,) = rec["processes"]
     assert process["argv"] == "criterion --spec U1:3" and process["exit"] == 0 and process["timeout_s"] is None

@@ -321,6 +321,23 @@ def test_valleys_spec(capsys):
     )
 
 
+def test_valleys_spec_lists_valleys_one_row_under_the_top(capsys, tmp_path):
+    # The row above a built window's global top is empty, so a class just
+    # under it with two parents is a valley, as it is in the knot.
+    p = tmp_path / "x.json"
+    p.write_text('{"name": "X", "genus": 1, "peaks": [[0, -1], [0, 1]]}')
+    rc, out, _ = run(capsys, "valleys", "--knot", str(p))
+    assert (rc, out) == (0, "knot\tX\nvalley\t-1\t0\tpeaks 0,1\n")
+    rc, out, _ = run(capsys, "valleys", "--spec", "X", "--knot", str(p))
+    assert (rc, out) == (0, "spec\tX\nvalley\t-1\t0\tX(-1,0)\n")
+    rc, out, _ = run(capsys, "valleys", "--spec", "X:2", "--knot", str(p), "--depth", "3")
+    assert (rc, out) == (0, "spec\tX^2\nvalley\t0\t-1\tX(0,-1)|X(-1,0)\nvalley\t0\t1\tX(0,-1)|X(-1,2)\n")
+    rc, out, _ = run(capsys, "render", "--knot", str(p), "--depth", "1")
+    assert (rc, out.splitlines()[:2]) == (0, ["tb  0 | ^ ^ |", "tb -1 |o v o|"])
+    rc, out, _ = run(capsys, "render", "--spec", "X:2", "--knot", str(p), "--depth", "1")
+    assert (rc, out.splitlines()[:2]) == (0, ["tb 1 | ^ ^ ^ |", "tb 0 |o v v o|"])
+
+
 def test_sum_window(capsys):
     rc, out, _ = run(capsys, "sum", "--spec", "C", "--tb-min", "0")
     assert rc == 0
@@ -660,6 +677,18 @@ def test_render_refuses_a_figure_over_the_point_limit(capsys, monkeypatch):
     assert made == [0, -1, -2]
     rc, out, _ = run(capsys, "render", "--spec", "A", "--depth", "1", "--out", os.devnull)
     assert (rc, out.splitlines()[2]) == (0, "points\t6")
+    # A knot's figure reads its own rows through the same budget.
+    knot_made = []
+    knot_points = legsum.MountainRange.level_points
+    monkeypatch.setattr(legsum.MountainRange, "level_points", lambda rng, tb: knot_made.append(tb) or knot_points(rng, tb))
+    for fmt in ("ascii", "svg"):
+        knot_made.clear()
+        rc, out, err = run(capsys, "render", "--knot", "A", "--depth", "100000", "--render", fmt)
+        assert (rc, out) == (1, "")
+        assert err == "error: figure too large: its rows from tb 0 down to -2 hold 11 points, more than the limit of 10\n"
+        assert knot_made == [0, -1, -2]
+    rc, out, _ = run(capsys, "render", "--knot", "A", "--depth", "1", "--out", os.devnull)
+    assert (rc, out.splitlines()[2]) == (0, "points\t6")
     monkeypatch.undo()
     # The limit lies above the deepest figure the CI guards draw, A at depth 1000.
     gens = legsum.sums._Generators(legsum.SumSpec.of([(legsum.catalog()["A"], 1)]))
@@ -667,6 +696,9 @@ def test_render_refuses_a_figure_over_the_point_limit(capsys, monkeypatch):
     rc, out, err = run(capsys, "render", "--spec", "A", "--depth", "100000")
     assert (rc, out) == (1, "")
     assert err.startswith("error: figure too large: ") and f"the limit of {legsum.sums._MAX_POINTS}\n" in err
+    rc, out, err = run(capsys, "render", "--knot", "A", "--depth", "100000")
+    assert (rc, out) == (1, "")
+    assert err == "error: figure too large: its rows from tb 0 down to -1411 hold 1000401 points, more than the limit of 1000000\n"
 
 
 def test_sum_and_valleys_refuse_a_window_over_the_point_limit(capsys, monkeypatch):

@@ -7,9 +7,13 @@ import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import legsum as L
 from legsum.poset import QuotientPoset
+
+from conftest import mountain_ranges
 
 
 def fixture_poset(nodes, edges, tb_min, top_tb, top_is_global=False):
@@ -133,6 +137,26 @@ def test_detect_valleys_window_guard(cat):
     assert L.detect_valleys(shallow) == ()
     deep_enough = L.build_quotient(L.SumSpec.of([(cat["A"], 1)]), -2)
     assert [n.point for n in L.detect_valleys(deep_enough)] == [(-2, 0)]
+
+
+def test_detect_valleys_just_under_a_global_top():
+    # Two parents at a global top share none: the row above it is empty.
+    # A hand-built window's top may not be global, so its row under the top
+    # is not evaluated.
+    parts = [("p", 0, -1), ("q", 0, 1), ("v", -1, 0)], [("p", "+", "v"), ("q", "-", "v")]
+    assert [n.point for n in L.detect_valleys(fixture_poset(*parts, -1, 0, top_is_global=True))] == [(-1, 0)]
+    assert L.detect_valleys(fixture_poset(*parts, -1, 0)) == ()
+
+
+@example(L.make_range("K", [(0, -1), (0, 1)], 1), 3)  # a valley one row under the top
+@given(mountain_ranges(), st.integers(0, 8))
+def test_a_knot_window_has_the_knot_peaks_and_valleys(rng, depth):
+    tb_min = rng.top_tb - depth
+    window = L.build_quotient(L.SumSpec.of([(rng, 1)]), tb_min)
+    peaks = [(p.tb, p.r) for p in rng.peaks if p.tb >= tb_min]
+    valleys = [(v.tb, v.r) for v in rng.valleys() if v.tb >= tb_min]
+    assert sorted(n.point for n in L.detect_peaks(window)) == sorted(peaks)
+    assert sorted(n.point for n in L.detect_valleys(window)) == sorted(valleys)
 
 
 # --- nonsimple points and the dichotomy ------------------------------------------------

@@ -1,16 +1,18 @@
-"""Figures: the mark grid against the per-kind cell renderer it replaced, and a sum's figure against its window's."""
+"""Figures: the mark grid against the per-kind cell renderer it replaced, a sum's figure against its window's, and a knot's against its one-summand sum's."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import legsum as L
 from legsum import sums
 from legsum.cli import main
 
-from conftest import make_grid_specs, random_sums, wide_step_sums
+from conftest import make_grid_specs, mountain_ranges, random_sums, wide_step_sums
 from oracles import cell_render_ascii, cell_render_svg
 
 GOLDEN_B2_ASCII = (
@@ -42,6 +44,19 @@ def test_ranges_draw_like_cells(cat):
     for rng in cat.values():
         for tb_min in [rng.top_tb - depth for depth in range(10)] + [rng.top_tb + 1, None]:
             assert_draws_like_cells(rng, L.RenderSpec(tb_min=tb_min))
+
+
+@given(mountain_ranges(), st.integers(-1, 10))
+def test_random_ranges_draw_like_cells(rng, depth):
+    assert_draws_like_cells(rng, L.RenderSpec(tb_min=rng.top_tb - depth))
+
+
+@example(L.make_range("K", [(0, -1), (0, 1)], 1), 2)  # a valley one row under the top
+@given(mountain_ranges(), st.integers(0, 10))
+def test_a_range_draws_like_its_one_summand_sum(rng, depth):
+    for fmt in ("ascii", "svg"):
+        how = L.RenderSpec(fmt, rng.top_tb - depth)
+        assert L.render(rng, how) == L.render(L.SumSpec.of([(rng, 1)]), how), fmt
 
 
 def test_grid_windows_draw_like_cells(cat):
@@ -125,3 +140,14 @@ def test_a_sum_draws_with_no_window(cat):
 def test_render_window_ascii_golden(capsys):
     assert main(["render", "--spec", "B:2", "--depth", "3"]) == 0
     assert capsys.readouterr().out == GOLDEN_B2_ASCII
+
+
+def test_a_figure_makes_each_level_row_once(cat, monkeypatch):
+    made = []
+    level_points = sums._Generators.level_points
+    monkeypatch.setattr(sums._Generators, "level_points", lambda gens, tb: made.append(tb) or level_points(gens, tb))
+    spec = L.SumSpec.of([(cat["B"], 3)])
+    for fmt in ("ascii", "svg"):
+        made.clear()
+        assert main(["render", "--spec", "B:3", "--depth", "12", "--render", fmt, "--out", os.devnull]) == 0
+        assert made == list(range(spec.top_tb, spec.top_tb - 13, -1)), fmt
