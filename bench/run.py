@@ -52,9 +52,12 @@ COSTLY = [
     "fiber --spec B,Aprime --tb=-1000 --r=3",
     "fiber --spec B,Aprime --tb=-1000 --r=3 --format json",
 ]
+# The JSON documents of two windows, which list every class with all its
+# members; every `sum` argv above writes text.
+DUMPS = ["sum --spec A:2,B:2 --depth 12 --format json", "sum --spec A,B,Aprime --depth 20 --format json"]
 # Windows and figures over the point limit, which end in a domain error.
 OVER_LIMIT = ["sum --spec A --depth 100000", "valleys --spec A --depth 100000", "render --knot A --depth 100000"]
-ARGVS = list(dict.fromkeys(FIXED + COSTLY + OVER_LIMIT))
+ARGVS = list(dict.fromkeys(FIXED + COSTLY + DUMPS + OVER_LIMIT))
 
 LAYER_SPECS = [("A:2,B:2", 12), ("B:3", 12)]
 

@@ -45,6 +45,15 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# The characters that JSON writes as themselves: ' ' to '~', less '"' and '\\'.
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
+def _plain(text: str) -> bool:
+    """Whether JSON writes ``text`` as itself between quotes: every character is one of :data:`_PLAIN`."""
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN)
+
+
 def dump_sum_json(spec: str, poset: QuotientPoset) -> str:
     """The ``sum --format json`` document of a window, written from its positions.
 
@@ -52,9 +61,12 @@ def dump_sum_json(spec: str, poset: QuotientPoset) -> str:
     **to_jsonable(poset)})``, for a window whose points are ``int`` pairs,
     as every window's are.  Nodes are written in window order from their
     ids (:attr:`PosetNode.ids`, read before the key, so a one-class point
-    is walked once), each key escaped once.  Edges are written from the
-    window's child positions, in the ``(parent, sign, child)`` order of the
-    raw keys that :attr:`QuotientPoset.edges` has.  No
+    is listed once, with its level row), each key escaped once.  A node's
+    ids are joined between plain quotes when none of them needs escaping
+    (:func:`_plain`), as a window's ids made from catalog knot names never
+    do; otherwise each id is escaped.  Edges are written from the window's
+    child positions, in the ``(parent, sign, child)`` order of the raw keys
+    that :attr:`QuotientPoset.edges` has.  No
     :class:`~legsum.poset.Edge`, node dict or edge dict is made.
     """
     escaped, nodes = [], []
@@ -62,7 +74,12 @@ def dump_sum_json(spec: str, poset: QuotientPoset) -> str:
         ids = n.ids
         key = _escape(n.key)
         escaped.append(key)
-        members = ("[\n        " + ",\n        ".join(map(_escape, ids)) + "\n      ]") if ids else "[]"
+        if not ids:
+            members = "[]"
+        elif _plain("".join(ids)):
+            members = '[\n        "' + '",\n        "'.join(ids) + '"\n      ]'
+        else:
+            members = "[\n        " + ",\n        ".join(map(_escape, ids)) + "\n      ]"
         nodes.append(
             f'{{\n      "id": {key},\n      "members": {members},\n      "point": [\n        {n.tb},\n        {n.r}\n'
             f'      ],\n      "size": {len(ids)}\n    }}'

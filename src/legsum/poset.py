@@ -44,11 +44,14 @@ class PosetNode(Value):
     first; hand-built fixture nodes leave it empty.  ``ids`` holds their id
     strings, in the same order.  A node built at a point of several classes
     holds its members from the start.  A one-class point's node holds
-    instead the builder of its sum (see :meth:`_lazy`) and walks its point
-    on first read only, so outputs that never list or name the class never
-    enumerate it.  Its ids are then walked as text, with no tuple objects,
-    and its key is the first of them once they are read, so reading ``ids``
-    before ``key`` walks the point once.  Otherwise the key is the
+    instead the builder of its sum (see :meth:`_lazy`) and lists its
+    class on first read only, so outputs that never list or name the class
+    never enumerate it.  Its ids are made as text, with no tuple objects: in
+    a window, from its level row, so the first read of one such node's ids
+    lists the ids of its whole row once and each node of the row takes its
+    own out (:meth:`legsum.sums._Generators.ids`); elsewhere by a walk of
+    its point.  Its key is the first of them once they are read, so reading
+    ``ids`` before ``key`` lists the point once.  Otherwise the key is the
     representative's id string.  Equality and repr read the members; the
     hash does not.
     """
@@ -63,16 +66,17 @@ class PosetNode(Value):
         """A one-class node that holds the builder ``gens`` of its sum, a :class:`legsum.sums._Generators`.
 
         Its members are ``gens.walk(tb, r, False)`` and its ids
-        ``gens.walk(tb, r, True)``, each walked on first read.  The node
-        drops the builder once the members are read.
+        ``gens.ids(tb, r)``, each made on first read.  The node drops the
+        builder once the members are read.
         """
         node = object.__new__(cls)
         _fill(node, None, tb, r, None, None, gens)
         return node
 
-    # Concurrent first reads each walk and store equal values.  The builder
-    # is read before the members and cleared after them, so a reader that
-    # finds it gone finds the members set.
+    # Concurrent first reads each list and store equal values: a read that
+    # finds its point's row list taken walks the point.  The builder is read
+    # before the members and cleared after them, so a reader that finds it
+    # gone finds the members set.
 
     @property
     def members(self) -> tuple:
@@ -89,7 +93,7 @@ class PosetNode(Value):
         ids = self._ids
         if ids is None:
             gens, members = self._gens, self._members
-            ids = tuple(gens.walk(self.tb, self.r, True) if members is None else [t.id_string() for t in members])
+            ids = gens.ids(self.tb, self.r) if members is None else tuple([t.id_string() for t in members])
             object.__setattr__(self, "_ids", ids)
         return ids
 

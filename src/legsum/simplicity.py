@@ -29,7 +29,7 @@ from ._values import Value, init
 from .errors import LegsumError, NotApplicable, WrongPeakCount
 from .poset import nonsimple_points
 from .ranges import NEG, POS, MountainRange, SimpleClass
-from .sums import SumSpec, TupleClass, _box_floor, _box_scan, build_quotient, canonicalize_tuple
+from .sums import SumSpec, TupleClass, _box_floor, _nonsimple_window, build_quotient, canonicalize_tuple
 
 CASE_ONE_PEAK = "all-one-peak"
 CASE_TWO_PEAK = "one-two-peak-with-multiplicity>=2"
@@ -97,17 +97,18 @@ def simplicity_in_window(spec: SumSpec, tb_min: int, workers: int = 0) -> Window
     down to ``max(tb_min, F0)``; the verdict still names the caller's
     ``tb_min``.  When :func:`criterion` says nonsimple, the window stops at
     the row of the first nonsimple point that the box scan
-    (:func:`legsum.sums._box_scan`) finds.  The verdict is still read from
-    the built window, so it never rests on the criterion: its witness sits
-    at the window's first point of several classes, which is maximal, and
-    names the first two class representatives there.
+    (:func:`legsum.sums._box_scan`) finds, and the scan and the window read
+    one builder of the sum (:func:`legsum.sums._nonsimple_window`).  The
+    verdict is still read from the built window, so it never rests on the
+    criterion: its witness sits at the window's first point of several
+    classes, which is maximal, and names the first two class
+    representatives there.
     """
     floor = max(tb_min, _box_floor(spec))
-    if not criterion(spec).simple:
-        found = next(_box_scan(spec, floor), None)
-        if found:
-            floor = found[0][0]
-    poset = build_quotient(spec, floor, workers=workers)
+    if criterion(spec).simple:
+        poset = build_quotient(spec, floor, workers=workers)
+    else:
+        poset = _nonsimple_window(spec, floor, workers)
     crowded = nonsimple_points(poset)
     if not crowded:
         return WindowVerdict(True, tb_min, poset.top_tb, None)

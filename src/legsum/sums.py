@@ -28,7 +28,13 @@ id form makes no factor object at all, neither :class:`TupleClass` nor
 :class:`SimpleClass`: it carries the text of the tuple so far, reads each
 factor point's text from its factor row where the tuple form reads its
 factor, and makes each id by one string concatenation.  A one-class
-point's member ids come from that form, and its key is the first of them.
+point's key is the first of its member ids.  A window lists those ids a
+level row at a time: the first read of a one-class point's ids lists its
+whole row in id form, in one recursion with no r bound, and each point
+takes its own list out (:meth:`_Generators.ids`).  A point alone is still
+walked: a fiber, a representative or key read before the ids, and the
+labelled listing of a point of several classes stop early or read one
+point, where a row listing would make every member of the row.
 
 Windows and tuples are both read a level row at a time.  A window of the
 quotient poset is a stack of the sum's level rows, from the top down.  The
@@ -47,6 +53,7 @@ point holds the same factor, and a point is formatted once per builder.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -304,7 +311,9 @@ class _Generators:
     there are components computed.  The box is bounded: u + v = 2 tb, so
     its points all have tb > (U_min + V_min) / 2.  The lemma says nothing
     of points outside the sum, which have no class.  The canonical tuples
-    of a point come from :meth:`walk`.
+    of a point come from :meth:`walk`; the member ids of a window's
+    one-class points come from one listing per level row
+    (:meth:`_list_row`), through :meth:`ids`.
 
     The components alone make the class graph of the box.  Each component
     root at a point is a class, and a class's +- child is the root of the
@@ -358,6 +367,11 @@ class _Generators:
             self._tops.append((gen, sum(tbs) + n - 1, sum(rs), moved))
         self._top_points = tuple((tb, r) for _gen, tb, r, _moved in self._tops)
         self.U_min, self.V_min = _box_corner(spec)
+        # A window's builder lists one-class points' ids by rows (:meth:`ids`):
+        # its row listings not yet read out, by tb, and the r values of each
+        # row's points of several classes, whose ids the listings leave out.
+        self._listed: dict[int, dict[int, list[str]]] | None = None
+        self._crowded: dict[int, set[int]] = {}
 
     def level_points(self, tb: int) -> list[int]:
         """The r values of the sum's points at level tb: the cone slices of the generator tops."""
@@ -480,6 +494,11 @@ class _Generators:
         the head and its last two points' texts.  The tuple form carries the
         head's factors, so a factor point is one :class:`SimpleClass`
         however many tuples hold it.
+        A walk reads one point and can stop at its first tuple, so fibers,
+        representatives and the labelled listing of a point of several
+        classes use it; the ids of a window's one-class points come from
+        their row's listing instead (:meth:`ids`), which makes all of a
+        row's ids with no per-point recursion and no r bound.
         """
         last = len(self._slots) - 1
         if last:
@@ -538,6 +557,96 @@ class _Generators:
                     c_last = last_cells.get(q_last) or make(last_rng, last_row, rest, q_last)
                     c = cells.get(r_i) or make(rng, row, tb_i, r_i)
                     yield f"{head}{c}|{c_last}" if text else TupleClass(head + (c, c_last))
+
+    def ids(self, tb: int, r: int) -> tuple[str, ...]:
+        """The member ids at (tb, r), a point of one class, in :meth:`walk` order.
+
+        A window's builder (see :func:`_window`) takes them from the listing
+        of their level row (:meth:`_list_row`), made on the row's first
+        read.  Each read takes its point's list out, and a row read out is
+        replaced by :data:`_READ`, so the builder holds no listing of a row
+        whose one-class points have all been read.  Any other builder, and a
+        point whose list a concurrent first read took, walks the point as
+        text; the two give equal ids.
+        """
+        listed = self._listed
+        if listed is not None:
+            lists = listed.get(tb)
+            if lists is None:
+                lists = listed.setdefault(tb, self._list_row(tb))
+            found = lists.pop(r, None)
+            if not lists:
+                listed[tb] = _READ
+            if found is not None:
+                return tuple(found)
+        return tuple(self.walk(tb, r, True))
+
+    def _list_row(self, tb: int) -> dict[int, list[str]]:
+        """Every member id of the sum's level row at tb, by point r, less those of the window's points of several classes.
+
+        One recursion over the factor positions at factor tb sum
+        t = tb - (n - 1) makes every canonical tuple at t once, and each is a
+        member of some point of the row, so no position takes an r bound.
+        Each keeps the tb bounds of :meth:`_walk`: at most ``cap``, at least
+        what its later positions cannot absorb.  The last position runs over
+        its whole factor row, from the previous factor's r when both are of
+        one summand at one tb, and appends the head's text and its own to
+        the list of the summed r; the floor keeps it at or under its cap.
+        Positions run tb descending and r ascending, so each point's list
+        comes out in :meth:`TupleClass.sort_key` order, that of
+        :meth:`walk`.  Each factor row's texts are read once per listing,
+        and its points not yet formatted are formatted then (:meth:`_format`).
+        """
+        slots = self._slots
+        lists: defaultdict[int, list[str]] = defaultdict(list)
+        made: dict[tuple[int, int], list[tuple[int, str]]] = {}
+
+        def texts(slot, tb_i: int) -> list[tuple[int, str]]:
+            """Each (r, text) of the slot's factor row at tb_i, r ascending."""
+            pairs = made.get((slot[1], tb_i))
+            if pairs is None:
+                rng, rows = slot[0], slot[8]
+                row = rows.get(tb_i) or self._row(rng, rows, tb_i)
+                cells = row[1]
+                if None in cells.values():
+                    for r in row[0]:
+                        cells[r] or self._format(rng, row, tb_i, r)
+                pairs = made[slot[1], tb_i] = list(cells.items())
+            return pairs
+
+        def fill(i: int, t: int, q: int, head: str, prev_tb: int, prev_r: int) -> None:
+            slot = slots[i]
+            _rng, _offset, top, follows, same, other_top = slot[:6]
+            cap = prev_tb if follows else top
+            inline = i + 2 == len(slots)
+            for tb_i in range(cap, -(-(t - other_top) // (same + 1)) - 1, -1):
+                pairs = texts(slot, tb_i)
+                if follows and tb_i == cap:
+                    pairs = pairs[bisect_left(pairs, (prev_r,)):]
+                rest = t - tb_i
+                if not inline:
+                    for r_i, text in pairs:
+                        fill(i + 1, rest, q + r_i, f"{head}{text}|", tb_i, r_i)
+                    continue
+                tail = texts(slots[i + 1], rest)
+                tie = slots[i + 1][3] and rest == tb_i
+                for r_i, text in pairs:
+                    prefix, base = f"{head}{text}|", q + r_i
+                    for r_last, text_last in tail[bisect_left(tail, (r_i,)):] if tie else tail:
+                        lists[base + r_last].append(prefix + text_last)
+
+        if len(slots) > 1:
+            fill(0, tb - len(slots) + 1, 0, "", 0, 0)
+        else:
+            for r, text in texts(slots[0], tb):
+                lists[r].append(text)
+        for r in self._crowded.get(tb, ()):
+            lists.pop(r, None)
+        return lists
+
+
+# A row listing once read out: empty, and never written.
+_READ: dict[int, list[str]] = {}
 
 
 def _partition(gens: _Generators, tb: int, r: int) -> tuple[dict[Generator, Generator], list[tuple[Generator, PosetNode]]]:
@@ -643,10 +752,26 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     ``workers`` > 1 runs the partitioning of the boxed points on a thread
     pool; results are identical to the serial order.
     """
+    return _window(spec, _Generators(spec), tb_min, workers)
+
+
+def _nonsimple_window(spec: SumSpec, tb_min: int, workers: int) -> QuotientPoset:
+    """The window of ``spec`` down to the row of its first nonsimple point, or to tb_min if none lies above it.
+
+    One builder serves the box scan (:func:`_box_scan`) that finds the row
+    and the window built down to it, so the boxed points above that row
+    read their generator tops from one table.
+    """
+    gens = _Generators(spec)
+    found = next(_box_scan(spec, tb_min, gens), None)
+    return _window(spec, gens, found[0][0] if found else tb_min, workers)
+
+
+def _window(spec: SumSpec, gens: _Generators, tb_min: int, workers: int) -> QuotientPoset:
+    """:func:`build_quotient` with the builder ``gens`` of ``spec``, which then lists its one-class points' ids by rows (:meth:`_Generators.ids`)."""
     top = spec.top_tb
     if tb_min > top:
         raise WindowEmpty(f"window floor {tb_min} lies above the top level {top}")
-    gens = _Generators(spec)
     rows = [(tb, row, gens.box_cut(tb, row)) for tb, row in _level_rows(gens.level_points, top, tb_min, "window")]
     boxed = [(tb, r) for tb, row, cut in rows for r in row[cut]]
     if workers > 1:
@@ -657,6 +782,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     else:
         parts = (_partition(gens, *pt) for pt in boxed)
 
+    gens._listed = {}
     nodes: list[PosetNode] = []
     steps: dict[str, list[list[int]]] = {POS: [], NEG: []}  # child positions per sign and node
     pos_kids, neg_kids = steps[POS], steps[NEG]
@@ -676,6 +802,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
                 classes.sort(key=lambda c: c[1].key)
                 position = {root: len(nodes) + j for j, (root, _node) in enumerate(classes)}
                 split[r] = {gen: position[root] for gen, root in components.items()}
+                gens._crowded.setdefault(tb, set()).add(r)
             for root, node in classes:
                 here.append((r, root))
                 nodes.append(node)
@@ -690,7 +817,7 @@ def build_quotient(spec: SumSpec, tb_min: int, workers: int = 0) -> QuotientPose
     return QuotientPoset(nodes, steps, tb_min, top, top_is_global=True)
 
 
-def _box_scan(spec: SumSpec, tb_min: int) -> Iterator[tuple[tuple[int, int], int, str | None]]:
+def _box_scan(spec: SumSpec, tb_min: int, gens: _Generators | None = None) -> Iterator[tuple[tuple[int, int], int, str | None]]:
     """Each nonsimple point from the top row down to ``max(tb_min, F0)``, with its class count and, if it is maximal, its case.
 
     Each row is made once and cut at the box by
@@ -705,9 +832,10 @@ def _box_scan(spec: SumSpec, tb_min: int) -> Iterator[tuple[tuple[int, int], int
     ancestors.  A maximal point is case1 when some class there has no
     parent, case2 when it has two classes, both upper neighbours and no
     point (tb + 2, r) at or under the top, and a violation otherwise.
-    The scan reads no point budget: its rows stop at the box floor.
+    The scan reads no point budget: its rows stop at the box floor.  It
+    makes its own builder of ``spec`` unless given one.
     """
-    gens = _Generators(spec)
+    gens = gens or _Generators(spec)
     above: dict[int, dict[Generator, Generator]] = {}  # components of each boxed point of the row above, by r
     two_above: dict[int, dict[Generator, Generator]] = {}
     marked_above: dict[int, set[Generator]] = {}  # marked roots of the row above, by r

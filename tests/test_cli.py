@@ -433,12 +433,18 @@ def count_walks(monkeypatch) -> collections.Counter:
 
 
 def test_sum_json_walk_each_point_once(monkeypatch, capsys):
+    # A one-class point's ids come from its level row's listing, made once
+    # per row; only points of several classes are walked, once, at build time.
     walked = count_walks(monkeypatch)
+    listed = collections.Counter()
+    list_row = legsum.sums._Generators._list_row
+    monkeypatch.setattr(legsum.sums._Generators, "_list_row", lambda gens, tb: listed.update([tb]) or list_row(gens, tb))
     rc, out, _ = run(capsys, "sum", "--spec", "A:2,B:2", "--depth", "6", "--format", "json")
     assert rc == 0
     classes = collections.Counter(tuple(node["point"]) for node in json.loads(out)["nodes"])
     assert 1 in classes.values() and max(classes.values()) > 1
-    assert walked == dict.fromkeys(classes, 1)
+    assert walked == {pt: 1 for pt, count in classes.items() if count > 1}
+    assert listed == dict.fromkeys({tb for tb, _r in classes}, 1)
 
 
 def test_sum_text_walk_each_point_once(monkeypatch, capsys):
@@ -476,9 +482,10 @@ def test_fiber_json_walks_its_one_class_point_once(monkeypatch, capsys):
 
 def test_sum_and_simple_make_no_parent_list(capsys, monkeypatch):
     windows = []
-    for module in (sys.modules["legsum.cli"], sys.modules["legsum.simplicity"]):
-        build = module.build_quotient
-        monkeypatch.setattr(module, "build_quotient", lambda *a, build=build, **k: windows.append(build(*a, **k)) or windows[-1])
+    # A nonsimple verdict builds its window with the box scan's builder.
+    for module, name in ((sys.modules["legsum.cli"], "build_quotient"), (sys.modules["legsum.simplicity"], "_nonsimple_window")):
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, build=build, **k: windows.append(build(*a, **k)) or windows[-1])
     for argv in (["sum", "--format", "json"], ["sum", "--format", "text"], ["simple"]):
         assert run(capsys, *argv, "--spec", "A:2,B:2", "--depth", "6")[0] == 0
     assert len(windows) == 3 and not any("_up" in vars(w) for w in windows)

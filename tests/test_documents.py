@@ -540,3 +540,24 @@ def test_sum_writer_escapes_user_knot_names(A, B):
         assert_sum_document(spec, depth)
     text = dump_sum_json(spec.label(), L.build_quotient(spec, spec.top_tb - 4))
     assert text.isascii() and '"spec": "Q\\"\\\\^2#R\\u00e9\\u2603"' in text
+
+
+def test_sum_writer_escapes_ids_that_mix_a_plain_knot_and_a_quoted_one(A):
+    # Every id holds a factor of `Q"\`, so each node's ids take the escaping path.
+    spec = L.SumSpec.of([(A, 1), (L.make_range('Q"\\', [(p.tb, p.r) for p in A.peaks], A.genus), 1)])
+    for depth in (0, 3, 6):
+        assert_sum_document(spec, depth)
+    window = L.build_quotient(spec, spec.top_tb - 3)
+    text = dump_sum_json(spec.label(), window)
+    node = max(window, key=lambda n: len(n.ids))
+    assert len(node.ids) > 1 and ",\n        ".join(map(json.dumps, node.ids)) in text
+    assert '"A(0,-2)|Q\\"\\\\(0,-2)"' in text
+
+
+def test_sum_writer_escapes_control_characters_in_knot_names(B):
+    for name in ("D\x7f", "T\x01", "N\n"):
+        spec = L.SumSpec.of([(L.make_range(name, [(p.tb, p.r) for p in B.peaks], B.genus), 2)])
+        for depth in (0, 4):
+            assert_sum_document(spec, depth)
+        text = dump_sum_json(spec.label(), L.build_quotient(spec, spec.top_tb - 4))
+        assert text.isascii() and json.dumps(name)[1:-1] + "(" in text, repr(name)

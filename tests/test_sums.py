@@ -722,14 +722,8 @@ def test_deep_verdicts_build_only_down_to_the_box_floor(monkeypatch, capsys, A, 
 
 def test_deep_verdicts_build_only_down_to_the_first_nonsimple_row(monkeypatch, A, B, Aprime):
     spec = L.SumSpec.of([(A, 4), (B, 4), (Aprime, 4)])
-    floors = []
-    build = simplicity.build_quotient
-
-    def recorded(spec, tb_min, **kwargs):
-        floors.append(tb_min)
-        return build(spec, tb_min, **kwargs)
-
-    monkeypatch.setattr(simplicity, "build_quotient", recorded)
+    # The window is built with the scan's builder, by the private `_window`.
+    floors = record_calls(monkeypatch, sums, "_window", lambda spec, gens, tb_min, workers: tb_min)
     verdict = L.simplicity_in_window(spec, spec.top_tb - 100)
     f0 = sums._box_floor(spec)
     first = sums._box_report(spec, f0).nonsimple[0][0]
@@ -799,6 +793,18 @@ def test_nmax_builds_no_window_and_walks_no_tuple(monkeypatch, capsys, argv):
     else:
         assert out.startswith("<svg") and "#8e44ad" in out  # a point of several classes
     assert (builds, walks, nodes, len(builders)) == ([[], []], [], [[], []], 1)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("simple", "--spec", "B:2", "--depth", "3"), id="B:2-3"),
+    pytest.param(("simple", "--spec", "A:4,B:4,Aprime:4", "--depth", "100"), id="A:4,B:4,Aprime:4-100"),
+])
+def test_a_nonsimple_verdict_makes_one_builder(monkeypatch, capsys, argv):
+    # The box scan and the window down to its first nonsimple row share it.
+    builders = record_calls(monkeypatch, sums._Generators, "__init__")
+    assert main(list(argv)) == 0
+    assert "\nsimple_in_window\tfalse\n" in capsys.readouterr().out
+    assert len(builders) == 1
 
 
 # --- per-tuple and per-edge work ---------------------------------------------------------------
@@ -940,6 +946,71 @@ def test_ids_match_tuples_on_powers_and_long_sums(A, B, Aprime):
     for n in range(1, 9):
         assert_ids_match_tuples(L.SumSpec.of([(B, n)]), 4)
     assert_ids_match_tuples(L.SumSpec.of([(A, 3), (B, 3), (Aprime, 3)]), 4)
+
+
+def assert_rows_list_like_walks(spec: L.SumSpec, depths: range) -> bool:
+    """Check that each level row's listing gives :meth:`walk`'s ids at every point of the row; return whether a factor row had a gap.
+
+    The listing and the walks read builders of their own.
+    """
+    listing, walking = sums._Generators(spec), sums._Generators(spec)
+    for depth in depths:
+        tb = spec.top_tb - depth
+        lists = listing._list_row(tb)
+        row = walking.level_points(tb)
+        assert sorted(lists) == row, (spec.label(), tb)
+        for r in row:
+            assert lists[r] == list(walking.walk(tb, r, True)), (spec.label(), tb, r)
+    factor_rows = [row[0] for slot in listing._slots for row in slot[8].values()]
+    return any(b - a > 2 for level in factor_rows for a, b in zip(level, level[1:]))
+
+
+def test_rows_list_like_walks_on_grid(cat):
+    # Four-factor sums stop at depth 8: their rows at depths 9 to 12 hold
+    # 15 of the 19 million ids that depths 0 to 12 would walk.
+    specs = make_grid_specs(cat, 4)
+    assert len(specs) == 125
+    gaps = [assert_rows_list_like_walks(spec, range(13 if spec.n < 4 else 9)) for spec in specs]
+    assert any(gaps) and not all(gaps)
+
+
+@given(st.one_of(random_sums(), wide_step_sums(), random_sums(min_n=1, max_n=1)), st.integers(0, 10))
+def test_rows_list_like_walks_on_random_ranges(spec, depth):
+    assert_rows_list_like_walks(spec, range(depth, depth + 2))
+
+
+def test_rows_list_like_walks_on_powers_and_one_summand(cat):
+    # Equal-tb factors of one summand are ordered by r (the tie rule).
+    for knot in cat.values():
+        for count in range(1, 5):
+            assert_rows_list_like_walks(L.SumSpec.of([(knot, count)]), range(9))
+
+
+def test_rows_list_like_walks_where_factor_rows_have_gaps(A, B):
+    # B's peaks are 4 apart in r, so its top factor row comes in three runs: -4, 0 and 4.
+    for spec in (L.SumSpec.of([(B, 1)]), L.SumSpec.of([(A, 1), (B, 2)]), L.SumSpec.of([(B, 2), (A, 2)])):
+        assert assert_rows_list_like_walks(spec, range(13)), spec.label()
+
+
+def test_a_window_read_in_full_holds_no_row_listing(monkeypatch, A, B):
+    listed = record_calls(monkeypatch, sums._Generators, "_list_row", lambda gens, tb: tb)
+    spec = L.SumSpec.of([(A, 2), (B, 2)])
+    window = L.build_quotient(spec, spec.top_tb - 6)
+    gens = next(node._gens for node in window if node._gens)
+    ids = [node.ids for node in window]
+    crowded = {pt for pt in window.points() if len(window.fiber(*pt)) > 1}
+    assert crowded and sorted(listed, reverse=True) == list(range(spec.top_tb, spec.top_tb - 7, -1))
+    assert set(gens._listed) == set(listed) and not any(gens._listed.values())
+    # The ids read from the rows are those the walks list.
+    walking = sums._Generators(spec)
+    assert ids == [node.ids if node.point in crowded else tuple(walking.walk(*node.point, True)) for node in window]
+
+
+def test_a_window_built_on_threads_reads_the_same_ids(A, B):
+    for spec in (L.SumSpec.of([(A, 2), (B, 2)]), L.SumSpec.of([(B, 3)])):
+        serial, threaded = (L.build_quotient(spec, spec.top_tb - 8, workers=w) for w in (0, 2))
+        assert [node.ids for node in threaded] == [node.ids for node in serial]
+        assert [node.ids for node in threaded] == [tuple(t.id_string() for t in node.members) for node in threaded]
 
 
 def assert_id_walk_matches_brute_force(spec: L.SumSpec, depth: int) -> None:
